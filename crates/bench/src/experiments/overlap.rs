@@ -1,33 +1,23 @@
 //! Overlap benchmark: pipelined chunked collectives vs the barriered
-//! schedule.
+//! schedule, on the simulator.
 //!
-//! Two views of the same optimisation:
+//! [`simulate_overlap`] runs the fluid network model twice per
+//! (dataset, device-count) cell: once with the barriered stage schedule,
+//! once with fixed-chunk relay pipelining. Both price the schedule the
+//! trainer runs — one serial loop per rank in which communication and
+//! compute strictly alternate. This is the hardware projection: it
+//! models V100-class links, so the pipelined column must come out
+//! strictly below the barriered one. The measured counterpart is the
+//! repository benchmark's full-batch workload, which times the real
+//! threaded trainer end to end.
 //!
-//! * **Simulated** — [`simulate_overlap`] runs the fluid network model
-//!   twice per (dataset, device-count) cell: once with PR 2's barriered
-//!   stage schedule, once with fixed-chunk pipelining plus the trainer's
-//!   bucketed-allreduce overlap (gradient-apply hidden behind backward
-//!   compute). This is the hardware projection — it models V100-class
-//!   links, so the pipelined column must come out strictly below the
-//!   barriered one.
-//! * **Measured** — one real threaded training run per dataset with
-//!   `TrainConfig::overlap` off then on. Both paths are
-//!   bitwise-deterministic and produce identical losses; the wall-clock
-//!   delta is only meaningful with spare cores (the JSON records `cpus`
-//!   so a 1-CPU runner documents its ceiling instead of faking a win).
-//!
-//! Results go to `BENCH_overlap.json`. Set `DGCL_BENCH_SMOKE=1` to
-//! shrink sizes and repetitions for CI smoke runs.
+//! Results go to `BENCH_overlap.json`, which records the machine's `cpus`
+//! and the smoke flag alongside the simulated cells.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use dgcl::trainer::{train_distributed, TrainConfig};
-use dgcl::{build_comm_info, BuildOptions};
-use dgcl_gnn::Architecture;
 use dgcl_graph::Dataset;
 use dgcl_sim::{simulate_overlap, GnnModel};
-use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
 use crate::harness::{ms, print_table, RunContext};
@@ -45,15 +35,6 @@ struct SimRecord {
     devices: usize,
     barriered_seconds: f64,
     pipelined_seconds: f64,
-    hidden_apply_seconds: f64,
-    speedup: f64,
-}
-
-/// One measured training run (barriered vs overlapped wall clock).
-struct MeasuredRecord {
-    dataset: &'static str,
-    barriered_seconds: f64,
-    overlapped_seconds: f64,
     speedup: f64,
 }
 
@@ -67,22 +48,7 @@ fn cpus() -> usize {
         .unwrap_or(1)
 }
 
-/// Median-of-`reps` wall time of `body` in seconds.
-fn time<F: FnMut()>(reps: usize, mut body: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            body();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 pub fn run(ctx: &mut RunContext) {
-    let smoke = smoke();
-
     // Simulated sweep: both datasets the acceptance gate names, at every
     // device count, pipelined vs barriered on the fluid-flow model.
     let mut sims: Vec<SimRecord> = Vec::new();
@@ -101,7 +67,6 @@ pub fn run(ctx: &mut RunContext) {
                 devices.to_string(),
                 ms(barriered),
                 ms(pipelined),
-                ms(b.hidden_apply_seconds),
                 format!("{speedup:.2}x"),
             ]);
             sims.push(SimRecord {
@@ -109,7 +74,6 @@ pub fn run(ctx: &mut RunContext) {
                 devices,
                 barriered_seconds: barriered,
                 pipelined_seconds: pipelined,
-                hidden_apply_seconds: b.hidden_apply_seconds,
                 speedup,
             });
         }
@@ -121,75 +85,22 @@ pub fn run(ctx: &mut RunContext) {
             "GPUs",
             "Barriered (ms)",
             "Pipelined (ms)",
-            "Hidden (ms)",
             "Speedup",
         ],
         &rows,
     );
     println!(
-        "  (fluid-flow network model; pipelined = fixed-chunk relay forwarding\n   plus gradient-apply hidden behind backward compute. chunk_rows = {CHUNK_ROWS}.)"
+        "  (fluid-flow network model; pipelined = fixed-chunk relay forwarding.\n   chunk_rows = {CHUNK_ROWS}.)"
     );
 
-    // Measured: the real threaded trainer, overlap off vs on. Identical
-    // losses by construction; only the schedule differs.
-    let mut measured: Vec<MeasuredRecord> = Vec::new();
-    let mut measured_rows = Vec::new();
-    let reps = if smoke { 1 } else { 3 };
-    let epochs = if smoke { 1 } else { 2 };
-    let mut init = XavierInit::new(ctx.seed);
-    for dataset in [Dataset::WikiTalk, Dataset::WebGoogle] {
-        let graph = ctx.graph(dataset);
-        let nv = graph.num_vertices();
-        let feats = if smoke { 16 } else { 32 };
-        let features = init.features(nv, feats);
-        let targets = init.features(nv, 8);
-        let info = build_comm_info(&graph, Topology::fig6(), BuildOptions::default());
-        let mut cfg = TrainConfig::new(Architecture::Gcn, &[feats, 8], epochs);
-        cfg.overlap = false;
-        let barriered = time(reps, || {
-            std::hint::black_box(
-                train_distributed(&info, &graph, &features, &targets, &cfg)
-                    .expect("healthy cluster"),
-            );
-        });
-        cfg.overlap = true;
-        let overlapped = time(reps, || {
-            std::hint::black_box(
-                train_distributed(&info, &graph, &features, &targets, &cfg)
-                    .expect("healthy cluster"),
-            );
-        });
-        let speedup = barriered / overlapped.max(1e-12);
-        measured_rows.push(vec![
-            dataset.name().to_string(),
-            ms(barriered),
-            ms(overlapped),
-            format!("{speedup:.2}x"),
-        ]);
-        measured.push(MeasuredRecord {
-            dataset: dataset.name(),
-            barriered_seconds: barriered,
-            overlapped_seconds: overlapped,
-            speedup,
-        });
-    }
-    print_table(
-        "Overlap: measured training wall clock (4 simulated GPUs, threads)",
-        &["Dataset", "Barriered (ms)", "Overlapped (ms)", "Speedup"],
-        &measured_rows,
-    );
-    println!(
-        "  (threaded shared-memory fabric; overlap needs spare cores to show a\n   wall-clock win — the JSON records `cpus` so CI can tell a regression\n   from a 1-CPU ceiling. Losses are bitwise identical either way.)"
-    );
-
-    match std::fs::write("BENCH_overlap.json", render_json(smoke, &sims, &measured)) {
+    match std::fs::write("BENCH_overlap.json", render_json(smoke(), &sims)) {
         Ok(()) => println!("  wrote BENCH_overlap.json"),
         Err(e) => println!("  could not write BENCH_overlap.json: {e}"),
     }
 }
 
 /// Hand-rolled JSON (the workspace is offline; no serde).
-fn render_json(smoke: bool, sims: &[SimRecord], measured: &[MeasuredRecord]) -> String {
+fn render_json(smoke: bool, sims: &[SimRecord]) -> String {
     let cpus = cpus();
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -199,38 +110,16 @@ fn render_json(smoke: bool, sims: &[SimRecord], measured: &[MeasuredRecord]) -> 
     let _ = writeln!(out, "  \"chunk_rows\": {CHUNK_ROWS},");
     let _ = writeln!(
         out,
-        "  \"note\": \"{}\",",
-        if cpus == 1 {
-            "single-cpu machine: measured wall-clock overlap is ceiling-limited at ~1x; \
-             the simulated columns model V100-class links and hold regardless"
-        } else {
-            "simulated columns use the fluid-flow V100 model; measured columns are \
-             real threaded wall clock and need spare cores to show overlap"
-        }
+        "  \"note\": \"simulated on the fluid-flow V100 model; the trainer runs one serial \
+         loop per rank, so there is no measured overlap to record\","
     );
     let _ = writeln!(out, "  \"simulated\": [");
     for (i, r) in sims.iter().enumerate() {
         let comma = if i + 1 == sims.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"dataset\": \"{}\", \"devices\": {}, \"barriered_seconds\": {:.6}, \"pipelined_seconds\": {:.6}, \"hidden_apply_seconds\": {:.6}, \"speedup\": {:.3}}}{}",
-            r.dataset,
-            r.devices,
-            r.barriered_seconds,
-            r.pipelined_seconds,
-            r.hidden_apply_seconds,
-            r.speedup,
-            comma,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"measured\": [");
-    for (i, r) in measured.iter().enumerate() {
-        let comma = if i + 1 == measured.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"barriered_seconds\": {:.6}, \"overlapped_seconds\": {:.6}, \"speedup\": {:.3}}}{}",
-            r.dataset, r.barriered_seconds, r.overlapped_seconds, r.speedup, comma,
+            "    {{\"dataset\": \"{}\", \"devices\": {}, \"barriered_seconds\": {:.6}, \"pipelined_seconds\": {:.6}, \"speedup\": {:.3}}}{}",
+            r.dataset, r.devices, r.barriered_seconds, r.pipelined_seconds, r.speedup, comma,
         );
     }
     let _ = writeln!(out, "  ]");
@@ -249,30 +138,15 @@ mod tests {
             devices: 4,
             barriered_seconds: 2.0,
             pipelined_seconds: 1.5,
-            hidden_apply_seconds: 0.1,
             speedup: 4.0 / 3.0,
         }];
-        let measured = [MeasuredRecord {
-            dataset: "web-google",
-            barriered_seconds: 0.5,
-            overlapped_seconds: 0.4,
-            speedup: 1.25,
-        }];
-        let json = render_json(true, &sims, &measured);
+        let json = render_json(true, &sims);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"bench\": \"overlap\""));
         assert!(json.contains("\"devices\": 4"));
         assert!(json.contains("\"pipelined_seconds\": 1.500000"));
-        assert!(json.contains("\"overlapped_seconds\": 0.400000"));
+        assert!(!json.contains("hidden_apply_seconds"));
         assert!(json.contains("\"smoke\": true"));
-    }
-
-    #[test]
-    fn median_timer_is_positive() {
-        let s = time(3, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(s >= 0.0);
     }
 }

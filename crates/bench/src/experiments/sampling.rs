@@ -3,10 +3,10 @@
 //!
 //! Three readings per graph on the fig6 4-GPU topology:
 //!
-//! * **Full-batch epoch** — the PR 5 overlapped trainer, the baseline
+//! * **Full-batch epoch** — the trainer's full-graph body, the baseline
 //!   every sampled configuration is priced against.
-//! * **Sampled epochs** — the block path at a tight and a loose fanout,
-//!   with prefetch on: wall-clock per epoch plus the per-update count
+//! * **Sampled epochs** — the block path at a tight and a loose fanout:
+//!   wall-clock per epoch plus the per-update count
 //!   (batches per epoch), since sampling's win is update frequency at
 //!   bounded per-update cost, not per-epoch volume.
 //! * **Model verdicts** — [`dgcl_sim::SamplingModel`] per-update and

@@ -108,8 +108,7 @@ pub struct PipelineSchedule {
 }
 
 /// Reusable executor state: one completion flag per action. Held per
-/// device (and per overlap worker) so repeated operations allocate
-/// nothing.
+/// device so repeated operations allocate nothing.
 #[derive(Debug, Default)]
 pub struct PipelineScratch {
     completed: Vec<bool>,

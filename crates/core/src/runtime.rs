@@ -20,7 +20,6 @@ use crate::collectives::{AllreduceAlgo, BroadcastAlgo, CollectiveEngine, GroupSp
 use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, ClusterFailure, RuntimeError};
 use crate::fabric::{expect_payload, Fabric, FabricConfig, MsgKey};
-use crate::overlap::{OverlapWorker, Pending};
 use crate::pipeline::{self, PipelineScratch};
 
 /// A device's view of the cluster: its rank, its local graph and the
@@ -695,64 +694,8 @@ impl<'a> DeviceHandle<'a> {
         self.poison_on_err(r)
     }
 
-    /// Spawns this device's background collective worker (see
-    /// [`crate::overlap`]). One worker per device is enough: it executes
-    /// submitted collectives FIFO, overlapping them with whatever the
-    /// calling thread computes in the meantime.
-    pub fn overlap_worker(&self) -> OverlapWorker {
-        let lg = self.local_graph();
-        OverlapWorker::spawn(
-            self.fabric.clone(),
-            self.rank,
-            self.info.forward_schedules[self.rank].clone(),
-            self.info.forward_pipelines[self.rank].clone(),
-            self.info.forward_tables.per_device[self.rank].clone(),
-            lg.num_local,
-            lg.num_total(),
-        )
-    }
-
-    /// Submits a gradient-bucket allreduce to `worker` and returns
-    /// immediately. The op id is assigned here, on the calling thread, so
-    /// submission order (identical across ranks) fixes the rendezvous
-    /// order regardless of when the worker executes.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RuntimeError`] raised on entry (poison, injected crash, dead
-    /// worker); an error originated here also poisons the fabric.
-    pub fn submit_allreduce(
-        &self,
-        worker: &OverlapWorker,
-        mats: Vec<Matrix>,
-    ) -> Result<Pending<Vec<Matrix>>, RuntimeError> {
-        let r = self
-            .begin_op()
-            .and_then(|op| worker.submit_allreduce(op, mats));
-        self.poison_on_err(r)
-    }
-
-    /// Submits a pipelined embedding allgather of `local` to `worker`
-    /// and returns immediately — the next layer's (or next epoch's)
-    /// exchange proceeds while this thread keeps computing.
-    ///
-    /// # Errors
-    ///
-    /// See [`DeviceHandle::submit_allreduce`].
-    pub fn submit_allgather(
-        &self,
-        worker: &OverlapWorker,
-        local: Matrix,
-    ) -> Result<Pending<Matrix>, RuntimeError> {
-        let r = self
-            .begin_op()
-            .and_then(|op| worker.submit_allgather(op, local));
-        self.poison_on_err(r)
-    }
-
     /// Assembles the full value matrix for a batch row list from its
-    /// per-rank owners, inline on the calling thread: the mini-batch
-    /// analogue of the graph allgather, used by the sampled trainer's
+    /// per-rank owners: the mini-batch analogue of the graph allgather, used by the sampled trainer's
     /// feature fetch and inter-layer reassembly.
     ///
     /// # Errors
@@ -787,38 +730,6 @@ impl<'a> DeviceHandle<'a> {
         let r = self.begin_op().and_then(|op| {
             crate::sampling::execute_reduce(&self.fabric, self.rank, op, contrib, rows, partition)
         });
-        self.poison_on_err(r)
-    }
-
-    /// Submits a batch row exchange to `worker` and returns immediately
-    /// — the sampled trainer prefetches the next batch's feature rows
-    /// this way while the current batch computes. The op id is assigned
-    /// here, in program order, like every other submission.
-    ///
-    /// # Errors
-    ///
-    /// See [`DeviceHandle::submit_allreduce`].
-    pub fn submit_exchange(
-        &self,
-        worker: &OverlapWorker,
-        plan: crate::sampling::GatherPlan,
-    ) -> Result<Pending<Matrix>, RuntimeError> {
-        let r = self
-            .begin_op()
-            .and_then(|op| worker.submit_exchange(op, plan));
-        self.poison_on_err(r)
-    }
-
-    /// Blocks on a background collective submitted earlier, poisoning
-    /// the fabric if the wait itself fails (the worker already poisoned
-    /// for errors it originated).
-    ///
-    /// # Errors
-    ///
-    /// The collective's [`RuntimeError`], or a timeout if the worker
-    /// vanished.
-    pub fn wait_pending<T>(&self, pending: Pending<T>) -> Result<T, RuntimeError> {
-        let r = pending.wait();
         self.poison_on_err(r)
     }
 }

@@ -5,20 +5,20 @@
 //! training (DistDGL, PAPERS.md) moves only the rows a batch's fanout-
 //! bounded blocks actually reference. The pieces here:
 //!
-//! * [`SamplingConfig`] — batch size, per-layer fanouts, seed, prefetch.
+//! * [`SamplingConfig`] — batch size, per-layer fanouts, seed.
 //! * [`GatherPlan`] + row exchange executors — the batch-sized analogue
 //!   of the graph allgather: every rank contributes the block rows it
 //!   owns and assembles the full per-batch source matrix (forward), or
 //!   reduces per-row gradient contributions back to the owners
 //!   (backward). Both run over the raw fabric with op-aligned keys, so
 //!   they compose with the poison protocol and the fault injector.
-//! * Device bodies called by the trainer: the **block path** (finite
-//!   fanouts, compact per-batch compute, optional [`OverlapWorker`]
-//!   prefetch of batch `k+1`'s features while batch `k` computes) and
-//!   the **exact path** (all fanouts ∞): full-neighborhood forward with
-//!   the loss masked to the batch. With one batch covering every vertex
-//!   the exact path is *bitwise identical* to full-batch training — the
-//!   parity criterion the test suite enforces.
+//! * The **block path** rank body called by the trainer (finite
+//!   fanouts, compact per-batch compute; each batch samples its blocks
+//!   and fetches its input rows inline, then computes). The **exact
+//!   path** (all fanouts ∞) is no separate body: it runs the trainer's
+//!   full-graph body with the loss masked to the batch. With one batch
+//!   covering every vertex it is *bitwise identical* to full-batch
+//!   training — the parity criterion the test suite enforces.
 //!
 //! Determinism: samples are pure functions of `(seed, epoch, batch)`, so
 //! every rank reconstructs every peer's blocks without communication;
@@ -35,9 +35,8 @@ use crate::backend::CommBackend;
 use crate::error::RuntimeError;
 use crate::fabric::{expect_payload, Fabric, MsgKey};
 use crate::featcache::{ClusterCache, HaloGatherCtx};
-use crate::overlap::Pending;
 use crate::runtime::DeviceHandle;
-use crate::trainer::{EpochCtx, TrainConfig};
+use crate::trainer::{full_forward, reduce_and_step, RunCtx};
 
 /// How the trainer samples mini-batches. Attach to
 /// [`TrainConfig::sampling`] to switch the distributed trainer from
@@ -52,10 +51,6 @@ pub struct SamplingConfig {
     /// Seed for batch shuffling and neighbor draws; identical across
     /// ranks by construction (it lives in the shared config).
     pub seed: u64,
-    /// Prefetch the next batch's input-layer feature rows on the
-    /// [`crate::OverlapWorker`] while the current batch computes
-    /// (block path only).
-    pub prefetch: bool,
     /// The training seed set; `None` means every vertex. Out-of-range
     /// ids surface as a typed [`RuntimeError::Protocol`] through
     /// `run_cluster`, never as a rank-thread abort.
@@ -64,13 +59,12 @@ pub struct SamplingConfig {
 
 impl SamplingConfig {
     /// A sampled config with the given batch size and per-layer fanouts,
-    /// a fixed seed and prefetch enabled.
+    /// and a fixed seed.
     pub fn new(batch_size: usize, fanouts: Vec<Option<usize>>) -> Self {
         Self {
             batch_size,
             fanouts,
             seed: 0x5EED,
-            prefetch: true,
             train_vertices: None,
         }
     }
@@ -82,7 +76,8 @@ impl SamplingConfig {
         Self::new(batch_size, vec![None; layers])
     }
 
-    /// Whether every fanout is ∞ (routes to the exact masked path).
+    /// Whether every fanout is ∞ (routes to the full-graph body with a
+    /// masked loss).
     pub(crate) fn is_exact(&self) -> bool {
         self.fanouts.iter().all(Option::is_none)
     }
@@ -110,9 +105,8 @@ pub(crate) fn graph_err(rank: usize, e: &GraphError) -> RuntimeError {
 ///   copy.
 /// * **Feature cache** — rows resident in the requester's
 ///   [`ClusterCache`] never cross the wire at all: their values are
-///   embedded in the plan at build time (so the plan stays
-///   self-contained on the [`crate::OverlapWorker`]), and senders skip
-///   them because cache sets are shared knowledge.
+///   embedded in the plan at build time, and senders skip them because
+///   cache sets are shared knowledge.
 #[derive(Debug)]
 pub struct GatherPlan {
     out_rows: usize,
@@ -305,8 +299,7 @@ fn add_into(acc: &mut Matrix, m: &Matrix) {
 /// its filtered unique owned rows, then assembles the full matrix from
 /// its own rows, the cache-served rows embedded in the plan, and each
 /// contributing peer's wire block, receives drained in ascending rank
-/// order. Runs on the main thread or on the [`crate::OverlapWorker`]
-/// (prefetch) — op-tagged keys keep the two from colliding.
+/// order.
 pub(crate) fn execute_gather(
     fabric: &Fabric,
     rank: usize,
@@ -451,153 +444,71 @@ fn train_set(scfg: &SamplingConfig, graph: &CsrGraph) -> Vec<VertexId> {
     }
 }
 
-/// The barriered full-graph forward shared by both sampled bodies' final
-/// inference pass (and the exact path's per-batch forward): per layer,
-/// the backend's aggregate exchange then the local layer. When a layer-0
-/// halo context is supplied (planned backend + feature cache), layer 0's
-/// exchange routes through the cache instead.
-fn full_forward(
+/// The exact path's seed set, range-checked up front: that path never
+/// runs the sampler (which rejects bad seeds on the block path), so an
+/// out-of-range id would otherwise only ever miss the loss mask.
+pub(crate) fn exact_seeds(
     handle: &DeviceHandle<'_>,
-    net: &mut dgcl_gnn::GnnNetwork,
-    backend: &dyn CommBackend,
-    kind: AggKind,
-    features: &Matrix,
-    l0: Option<&HaloGatherCtx<'_>>,
-) -> Result<Matrix, RuntimeError> {
-    let mut h = features.clone();
-    for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-        let agg = match (l, l0) {
-            (0, Some(ctx)) => ctx.agg_forward(handle, &h, kind)?,
-            _ => backend.agg_forward(handle, &h, kind)?,
-        };
-        h = layer.forward_agg(&h, agg);
-    }
-    Ok(h)
-}
-
-/// Allreduces parameter gradients plus the scalar batch loss, applies
-/// the summed gradients and steps — the per-batch tail shared by both
-/// sampled bodies (identical to the full-batch epoch tail).
-fn reduce_and_step(
-    handle: &DeviceHandle<'_>,
-    net: &mut dgcl_gnn::GnnNetwork,
-    lr: f32,
-    local_loss: f32,
-) -> Result<f32, RuntimeError> {
-    let mut mats: Vec<Matrix> = net
-        .layers()
+    scfg: &SamplingConfig,
+    graph: &CsrGraph,
+) -> Result<Vec<VertexId>, RuntimeError> {
+    let seeds = train_set(scfg, graph);
+    if let Some(&bad) = seeds
         .iter()
-        .flat_map(|l| l.gradients().into_iter().cloned())
-        .collect();
-    mats.push(Matrix::full(1, 1, local_loss));
-    let reduced = handle.allreduce(mats)?;
-    let (loss_mat, grads) = reduced.split_last().expect("loss entry present");
-    let mut cursor = 0;
-    for layer in net.layers_mut() {
-        let count = layer.gradients().len();
-        layer.set_gradients(&grads[cursor..cursor + count]);
-        cursor += count;
+        .find(|&&v| (v as usize) >= graph.num_vertices())
+    {
+        let e = GraphError::SeedOutOfRange {
+            seed: bad,
+            num_vertices: graph.num_vertices(),
+        };
+        return handle.poison_on_err(Err(graph_err(handle.rank, &e)));
     }
-    net.step(lr);
-    Ok(loss_mat[(0, 0)])
+    Ok(seeds)
 }
 
 /// The block path: finite fanouts, compact per-batch blocks, row
-/// exchanges between layers, gradient row reductions on the way back,
-/// and (when configured) the next batch's feature gather prefetched on
-/// the overlap worker.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn device_body_sampled(
+/// exchanges between layers, gradient row reductions on the way back.
+pub(crate) fn device_body_blocks(
     handle: &DeviceHandle<'_>,
-    cfg: &TrainConfig,
-    ctx: &EpochCtx<'_>,
-    net0: &dgcl_gnn::GnnNetwork,
-    scfg: &SamplingConfig,
-    graph: &CsrGraph,
+    run: &RunCtx<'_>,
     backend: &dyn CommBackend,
-    per_device_features: &[Matrix],
-    per_device_targets: &[Matrix],
-    cache: Option<&ClusterCache>,
-    use_halo: bool,
+    scfg: &SamplingConfig,
 ) -> Result<(Vec<f32>, Matrix), RuntimeError> {
     let rank = handle.rank;
     let info = handle.comm_info();
     let partition: &[u32] = &info.pg.partition;
     let num_parts = info.pg.num_parts;
     let owned: &[VertexId] = &info.pg.local[rank];
-    let agg_kind = cfg.arch.agg_kind();
-    let mut net = net0.clone();
+    let features = &run.features[rank];
+    let agg_kind = run.cfg.arch.agg_kind();
+    let mut net = run.net0.clone();
     let num_layers = net.num_layers();
-    let seeds = train_set(scfg, graph);
-    let worker = scfg.prefetch.then(|| handle.overlap_worker());
+    let seeds = train_set(scfg, run.graph);
     // Layer-0 feature gathers (the only gathers over *raw* features, the
     // immutable rows the cache holds) consult the cache; inter-layer
     // gathers move activations and always build uncached plans.
-    let feature_plan = |src: &[VertexId]| match cache {
-        Some(c) => GatherPlan::build_cached(
-            src,
-            partition,
-            num_parts,
-            rank,
-            owned,
-            &per_device_features[rank],
-            c,
-        ),
-        None => GatherPlan::build(
-            src,
-            partition,
-            num_parts,
-            rank,
-            owned,
-            &per_device_features[rank],
-        ),
+    let feature_plan = |src: &[VertexId]| match run.cache {
+        Some(c) => GatherPlan::build_cached(src, partition, num_parts, rank, owned, features, c),
+        None => GatherPlan::build(src, partition, num_parts, rank, owned, features),
     };
-    let halo = HaloGatherCtx::build(info, rank, if use_halo { cache } else { None });
-    // Per-batch block-chain scratch recycles across batches; with
-    // prefetch on, steady state holds two chains' carcasses.
+    // Per-batch block-chain scratch recycles across batches.
     let mut pool = BlockPool::new();
-    let mut losses = Vec::with_capacity(ctx.end_epoch - ctx.start_epoch);
-    // Blocks + pending feature gather for the *next* batch, posted while
-    // the current batch computes.
-    let mut prefetched: Option<(Vec<LayerBlock>, Pending<Matrix>)> = None;
-    for epoch in ctx.start_epoch..ctx.end_epoch {
+    let mut losses = Vec::with_capacity(run.end_epoch - run.start_epoch);
+    for epoch in run.start_epoch..run.end_epoch {
         handle.check_epoch_fault(epoch)?;
         let batches = seed_batches(&seeds, scfg.batch_size, scfg.seed, epoch);
         let mut epoch_loss = 0.0f32;
         for (bi, batch) in batches.iter().enumerate() {
-            let (blocks, mut h) = match prefetched.take() {
-                Some((blocks, pending)) => (blocks, handle.wait_pending(pending)?),
-                None => {
-                    let blocks = handle.poison_on_err(
-                        pool.sample_blocks(
-                            graph,
-                            batch,
-                            &scfg.fanouts,
-                            round_seed(scfg.seed, epoch, bi),
-                        )
-                        .map_err(|e| graph_err(rank, &e)),
-                    )?;
-                    let plan = feature_plan(&blocks[0].src);
-                    let h = backend.fetch_rows(handle, &plan)?;
-                    (blocks, h)
-                }
-            };
-            if let Some(w) = &worker {
-                if bi + 1 < batches.len() {
-                    let next = handle.poison_on_err(
-                        pool.sample_blocks(
-                            graph,
-                            &batches[bi + 1],
-                            &scfg.fanouts,
-                            round_seed(scfg.seed, epoch, bi + 1),
-                        )
-                        .map_err(|e| graph_err(rank, &e)),
-                    )?;
-                    let plan = feature_plan(&next[0].src);
-                    let pending = handle.submit_exchange(w, plan)?;
-                    prefetched = Some((next, pending));
-                }
-            }
+            let blocks = handle.poison_on_err(
+                pool.sample_blocks(
+                    run.graph,
+                    batch,
+                    &scfg.fanouts,
+                    round_seed(scfg.seed, epoch, bi),
+                )
+                .map_err(|e| graph_err(rank, &e)),
+            )?;
+            let mut h = backend.fetch_rows(handle, &feature_plan(&blocks[0].src))?;
             // Forward: each rank computes only the block rows it owns;
             // between layers the owners' outputs reassemble into the next
             // block's full source matrix.
@@ -634,7 +545,7 @@ pub(crate) fn device_body_sampled(
                         .expect("dst row is owned")
                 })
                 .collect();
-            let tgt = per_device_targets[rank].gather_rows(&target_rows);
+            let tgt = run.targets[rank].gather_rows(&target_rows);
             let diff = h.sub(&tgt);
             let local_loss = 0.5 * diff.norm_sq();
             // Backward: scatter aggregate gradients over the block edges,
@@ -659,117 +570,14 @@ pub(crate) fn device_body_sampled(
                     grad = backend.push_rows(handle, &grad_src, &block.src, partition)?;
                 }
             }
-            epoch_loss += reduce_and_step(handle, &mut net, cfg.lr, local_loss)?;
+            epoch_loss += reduce_and_step(handle, &mut net, run.cfg.lr, local_loss)?;
             pool.recycle(blocks);
         }
         losses.push(epoch_loss);
-        ctx.publish(rank, &net, &losses);
+        run.publish(rank, &net, &losses);
     }
-    let out = full_forward(
-        handle,
-        &mut net,
-        backend,
-        agg_kind,
-        &per_device_features[rank],
-        halo.as_ref(),
-    )?;
-    Ok((losses, out))
-}
-
-/// The exact path (every fanout ∞): full-neighborhood forward with the
-/// loss and its gradient masked to the batch rows. With a single batch
-/// covering every seed this is instruction-for-instruction the
-/// full-batch barriered epoch — the bitwise parity anchor for the
-/// sampled pipeline.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn device_body_masked(
-    handle: &DeviceHandle<'_>,
-    cfg: &TrainConfig,
-    ctx: &EpochCtx<'_>,
-    net0: &dgcl_gnn::GnnNetwork,
-    scfg: &SamplingConfig,
-    graph: &CsrGraph,
-    backend: &dyn CommBackend,
-    per_device_features: &[Matrix],
-    per_device_targets: &[Matrix],
-    cache: Option<&ClusterCache>,
-    use_halo: bool,
-) -> Result<(Vec<f32>, Matrix), RuntimeError> {
-    let rank = handle.rank;
-    let owned: &[VertexId] = &handle.comm_info().pg.local[rank];
-    let halo = HaloGatherCtx::build(
-        handle.comm_info(),
-        rank,
-        if use_halo { cache } else { None },
-    );
-    let agg_kind = cfg.arch.agg_kind();
-    let mut net = net0.clone();
-    let seeds = train_set(scfg, graph);
-    if let Some(&bad) = seeds
-        .iter()
-        .find(|&&v| (v as usize) >= graph.num_vertices())
-    {
-        let e = GraphError::SeedOutOfRange {
-            seed: bad,
-            num_vertices: graph.num_vertices(),
-        };
-        return handle.poison_on_err(Err(graph_err(rank, &e)));
-    }
-    let mut losses = Vec::with_capacity(ctx.end_epoch - ctx.start_epoch);
-    for epoch in ctx.start_epoch..ctx.end_epoch {
-        handle.check_epoch_fault(epoch)?;
-        let batches = seed_batches(&seeds, scfg.batch_size, scfg.seed, epoch);
-        let mut epoch_loss = 0.0f32;
-        for batch in &batches {
-            let out = full_forward(
-                handle,
-                &mut net,
-                backend,
-                agg_kind,
-                &per_device_features[rank],
-                halo.as_ref(),
-            )?;
-            // Masked sum-squared loss: diff rows outside the batch are
-            // zeroed *before* the norm, so with a full mask this is
-            // exactly `mse_loss` (same element order, same single
-            // accumulator) and bitwise parity follows.
-            let mut batch_sorted = batch.clone();
-            batch_sorted.sort_unstable();
-            let mut diff = out.sub(&per_device_targets[rank]);
-            for (j, &v) in owned.iter().enumerate() {
-                if batch_sorted.binary_search(&v).is_err() {
-                    for x in diff.row_mut(j) {
-                        *x = 0.0;
-                    }
-                }
-            }
-            let local_loss = 0.5 * diff.norm_sq();
-            let mut grad = diff;
-            for (l, layer) in net.layers_mut().iter_mut().enumerate().rev() {
-                let (grad_agg, direct) = layer.backward_agg(&grad);
-                if l == 0 && halo.is_some() {
-                    // Layer 0's aggregate gradient would flow only into
-                    // the raw input features, which don't learn; with
-                    // the halo active every rank skips the dead exchange
-                    // together, keeping op counters aligned.
-                    break;
-                }
-                let back = backend.agg_backward(handle, &grad_agg, agg_kind)?;
-                grad = crate::trainer::fold_direct(back, direct);
-            }
-            epoch_loss += reduce_and_step(handle, &mut net, cfg.lr, local_loss)?;
-        }
-        losses.push(epoch_loss);
-        ctx.publish(rank, &net, &losses);
-    }
-    let out = full_forward(
-        handle,
-        &mut net,
-        backend,
-        agg_kind,
-        &per_device_features[rank],
-        halo.as_ref(),
-    )?;
+    let halo = HaloGatherCtx::build(info, rank, run.halo_cache);
+    let out = full_forward(handle, &mut net, backend, agg_kind, features, halo.as_ref())?;
     Ok((losses, out))
 }
 

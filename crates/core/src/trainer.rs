@@ -7,15 +7,23 @@
 //! synchronised with an allreduce (the paper delegates this to
 //! Horovod/DDP as GNN models are small).
 //!
+//! Each rank runs one serial loop in which communication and compute
+//! strictly alternate. There are two loop bodies: the full-graph body
+//! here serves full-batch epochs (one unmasked batch) and exact sampled
+//! epochs (every fanout ∞, loss masked per batch); the block body in
+//! [`crate::sampling`] serves finite fanouts. Both share
+//! [`full_forward`] and [`reduce_and_step`], and the planned backend
+//! always runs the pipelined executor.
+//!
 //! Because all baselines are algorithmically equivalent (§7), the
 //! reproduction's correctness criterion is *numerical parity*: distributed
 //! training must match single-device training up to floating-point
 //! reduction order, which [`train_distributed`] and [`train_single`] let
 //! tests verify directly.
 
-use dgcl_gnn::aggregate::{aggregate_mean, aggregate_sum};
 use dgcl_gnn::loss::mse_loss;
 use dgcl_gnn::{AggKind, Architecture, GnnNetwork};
+use dgcl_graph::sample::seed_batches;
 use dgcl_graph::CsrGraph;
 use dgcl_sim::BackendKind;
 use dgcl_tensor::Matrix;
@@ -27,7 +35,8 @@ use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, RuntimeError};
 use crate::fabric::FabricConfig;
 use crate::featcache::{CachePolicy, CacheStatsSnapshot, ClusterCache, HaloGatherCtx};
-use crate::runtime::{run_cluster_with, ExecStrategy};
+use crate::runtime::{run_cluster_with, DeviceHandle, ExecStrategy};
+use crate::sampling::SamplingConfig;
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone)]
@@ -42,13 +51,6 @@ pub struct TrainConfig {
     pub lr: f32,
     /// Seed for weight initialisation (shared by all replicas).
     pub weight_seed: u64,
-    /// Whether to overlap communication with compute: per-layer gradient
-    /// allreduce buckets launched as each layer's backward completes, and
-    /// the next epoch's first allgather posted eagerly, all on a
-    /// background worker. Bitwise identical to the serial schedule (fixed
-    /// bucket order, rank-ordered sums); `false` runs the fully
-    /// barriered reference.
-    pub overlap: bool,
     /// Allreduce algorithm override for the gradient buckets. `None`
     /// (the default) lets the cost-model autotuner pick per bucket
     /// size; `Some(algo)` forces one algorithm. Every algorithm is
@@ -67,7 +69,7 @@ pub struct TrainConfig {
     /// fanout list's length must equal the layer count. With every
     /// fanout ∞ and one batch covering every vertex the sampled run is
     /// bitwise identical to the full-batch one.
-    pub sampling: Option<crate::sampling::SamplingConfig>,
+    pub sampling: Option<SamplingConfig>,
     /// Hot-vertex remote feature cache override. `None` (the default)
     /// runs the policy recorded at build time
     /// ([`crate::BuildOptions::feature_cache`]); `Some(policy)` forces
@@ -77,8 +79,8 @@ pub struct TrainConfig {
 }
 
 impl TrainConfig {
-    /// A config with learning rate `1e-3`, a fixed weight seed and
-    /// communication–compute overlap enabled.
+    /// A config with learning rate `1e-3` and a fixed weight seed,
+    /// training full-batch on the build-time backend and cache policy.
     pub fn new(arch: Architecture, dims: &[usize], epochs: usize) -> Self {
         Self {
             arch,
@@ -86,7 +88,6 @@ impl TrainConfig {
             epochs,
             lr: 1e-3,
             weight_seed: 17,
-            overlap: true,
             allreduce: None,
             backend: None,
             sampling: None,
@@ -194,18 +195,29 @@ pub fn train_distributed_with(
     )
 }
 
-/// Per-epoch context shared by both device bodies: where in the global
-/// epoch range this attempt runs, the losses of epochs completed before
-/// it (from the resumed checkpoint), and where rank 0 publishes
-/// checkpoints.
-pub(crate) struct EpochCtx<'a> {
+/// Everything a rank body reads besides its handle: the run's config,
+/// where in the global epoch range this attempt runs, the losses of
+/// epochs completed before it (from the resumed checkpoint), where rank
+/// 0 publishes checkpoints, the initial replica, and the dispatched data
+/// and feature cache shared by every rank.
+pub(crate) struct RunCtx<'a> {
+    pub(crate) cfg: &'a TrainConfig,
     pub(crate) start_epoch: usize,
     pub(crate) end_epoch: usize,
     prior_losses: &'a [f32],
     checkpoints: Option<&'a CheckpointConfig>,
+    pub(crate) net0: &'a GnnNetwork,
+    pub(crate) graph: &'a CsrGraph,
+    pub(crate) features: &'a [Matrix],
+    pub(crate) targets: &'a [Matrix],
+    /// The active cache, consulted by the block path's layer-0 gathers.
+    pub(crate) cache: Option<&'a ClusterCache>,
+    /// The cache when the planned backend routes full-graph layer 0
+    /// through the cache-aware halo exchange; `None` otherwise.
+    pub(crate) halo_cache: Option<&'a ClusterCache>,
 }
 
-impl EpochCtx<'_> {
+impl RunCtx<'_> {
     /// Rank 0's post-step hook: publishes the in-memory checkpoint for
     /// every completed epoch and serializes to the sink on its cadence.
     /// Weights are identical on all ranks after the allreduce-then-step,
@@ -300,14 +312,6 @@ pub fn train_distributed_resumable(
     // caches once at the driver; every rank reads the same copies.
     let cache_policy = cfg.feature_cache.unwrap_or(info.feature_cache.policy);
     let cache = ClusterCache::build(info, features, cache_policy);
-    // With a cache active on the planned backend, full-batch layer 0
-    // routes through the cache-aware halo exchange.
-    let use_halo = cache.is_some() && backend_kind == BackendKind::Planned;
-    let halo_cache = if use_halo { cache.as_ref() } else { None };
-    // The eager next-epoch allgather only makes sense on the planned
-    // backend (CAGNET never runs the vertex-cut exchange), and is
-    // superseded by the halo exchange when the cache is on.
-    let eager_gather = backend_kind == BackendKind::Planned && !use_halo;
     // The initial replica is built once at the driver: every rank clones
     // it, so a resumed attempt restores the checkpoint exactly once.
     let mut net0 = GnnNetwork::new(cfg.arch, &cfg.dims, cfg.weight_seed);
@@ -324,74 +328,32 @@ pub fn train_distributed_resumable(
         }
         None => (0, Vec::new()),
     };
-    let ctx = EpochCtx {
+    let per_device_features = info.dispatch_features(features);
+    let per_device_targets = info.dispatch_features(targets);
+    let run = RunCtx {
+        cfg,
         start_epoch,
         end_epoch: cfg.epochs,
         prior_losses: &prior_losses,
         checkpoints,
+        net0: &net0,
+        graph,
+        features: &per_device_features,
+        targets: &per_device_targets,
+        cache: cache.as_ref(),
+        // With a cache active on the planned backend, full-graph layer 0
+        // routes through the cache-aware halo exchange.
+        halo_cache: cache
+            .as_ref()
+            .filter(|_| backend_kind == BackendKind::Planned),
     };
-    let per_device_features = info.dispatch_features(features);
-    let per_device_targets = info.dispatch_features(targets);
     let results = run_cluster_with(info, fabric_config, |handle| {
-        if let Some(scfg) = &cfg.sampling {
-            // Sampled bodies run their collectives inline (barriered);
-            // the overlap flag only governs the feature prefetch inside
-            // the block path.
-            let backend = backend_for(backend_kind, ExecStrategy::Barriered);
-            if scfg.is_exact() {
-                crate::sampling::device_body_masked(
-                    &handle,
-                    cfg,
-                    &ctx,
-                    &net0,
-                    scfg,
-                    graph,
-                    backend.as_ref(),
-                    &per_device_features,
-                    &per_device_targets,
-                    cache.as_ref(),
-                    use_halo,
-                )
-            } else {
-                crate::sampling::device_body_sampled(
-                    &handle,
-                    cfg,
-                    &ctx,
-                    &net0,
-                    scfg,
-                    graph,
-                    backend.as_ref(),
-                    &per_device_features,
-                    &per_device_targets,
-                    cache.as_ref(),
-                    use_halo,
-                )
+        let backend = backend_for(backend_kind, ExecStrategy::Pipelined);
+        match &cfg.sampling {
+            Some(scfg) if !scfg.is_exact() => {
+                crate::sampling::device_body_blocks(&handle, &run, backend.as_ref(), scfg)
             }
-        } else if cfg.overlap {
-            let backend = backend_for(backend_kind, ExecStrategy::Pipelined);
-            device_body_overlapped(
-                &handle,
-                cfg,
-                &ctx,
-                &net0,
-                backend.as_ref(),
-                eager_gather,
-                &per_device_features,
-                &per_device_targets,
-                halo_cache,
-            )
-        } else {
-            let backend = backend_for(backend_kind, ExecStrategy::Barriered);
-            device_body_barriered(
-                &handle,
-                cfg,
-                &ctx,
-                &net0,
-                backend.as_ref(),
-                &per_device_features,
-                &per_device_targets,
-                halo_cache,
-            )
+            exact => device_body_full(&handle, &run, backend.as_ref(), exact.as_ref()),
         }
     })?;
     let mut losses = prior_losses;
@@ -409,7 +371,7 @@ pub fn train_distributed_resumable(
 /// its direct (self-path) contribution: `backward_agg` splits the two,
 /// the backend folds remote consumers into the aggregate half, and the
 /// direct half lands on the local rows afterwards.
-pub(crate) fn fold_direct(mut grad_agg_back: Matrix, direct: Option<Matrix>) -> Matrix {
+fn fold_direct(mut grad_agg_back: Matrix, direct: Option<Matrix>) -> Matrix {
     if let Some(direct) = direct {
         for v in 0..grad_agg_back.rows() {
             for (g, &x) in grad_agg_back.row_mut(v).iter_mut().zip(direct.row(v)) {
@@ -420,189 +382,130 @@ pub(crate) fn fold_direct(mut grad_agg_back: Matrix, direct: Option<Matrix>) -> 
     grad_agg_back
 }
 
-/// The serial reference schedule: barriered collectives, one monolithic
-/// allreduce per epoch. Communication and compute strictly alternate.
-#[allow(clippy::too_many_arguments)]
-fn device_body_barriered(
-    handle: &crate::runtime::DeviceHandle<'_>,
-    cfg: &TrainConfig,
-    ctx: &EpochCtx<'_>,
-    net0: &GnnNetwork,
+/// One full-graph forward pass: per layer, the backend's aggregate
+/// exchange then the unchanged local layer. Layer 0 reads the immutable
+/// raw features: with a halo context (planned backend + feature cache),
+/// its exchange fills cached rows locally instead.
+pub(crate) fn full_forward(
+    handle: &DeviceHandle<'_>,
+    net: &mut GnnNetwork,
     backend: &dyn CommBackend,
-    per_device_features: &[Matrix],
-    per_device_targets: &[Matrix],
-    halo_cache: Option<&ClusterCache>,
-) -> Result<(Vec<f32>, Matrix), RuntimeError> {
-    let rank = handle.rank;
-    let agg_kind = cfg.arch.agg_kind();
-    let mut net = net0.clone();
-    let halo = HaloGatherCtx::build(handle.comm_info(), rank, halo_cache);
-    let mut losses = Vec::with_capacity(ctx.end_epoch - ctx.start_epoch);
-    let forward = |net: &mut GnnNetwork,
-                   handle: &crate::runtime::DeviceHandle<'_>|
-     -> Result<Matrix, RuntimeError> {
-        let mut h = per_device_features[rank].clone();
-        for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-            let agg = match (l, &halo) {
-                // Layer 0 reads the immutable raw features: with a cache
-                // active, the halo exchange fills cached rows locally.
-                (0, Some(hctx)) => hctx.agg_forward(handle, &h, agg_kind)?,
-                _ => backend.agg_forward(handle, &h, agg_kind)?,
-            };
-            h = layer.forward_agg(&h, agg);
-        }
-        Ok(h)
-    };
-    for epoch in ctx.start_epoch..ctx.end_epoch {
-        handle.check_epoch_fault(epoch)?;
-        let out = forward(&mut net, handle)?;
-        let (local_loss, grad_out) = mse_loss(&out, &per_device_targets[rank]);
-        // Backward through the layers, routing each layer's aggregate
-        // gradient through the backend's adjoint exchange.
-        let mut grad = grad_out;
-        for (l, layer) in net.layers_mut().iter_mut().enumerate().rev() {
-            let (grad_agg, direct) = layer.backward_agg(&grad);
-            if l == 0 && halo.is_some() {
-                // Layer 0's aggregate gradient flows only into the raw
-                // features, which don't learn; every rank skips the dead
-                // exchange together, keeping op counters aligned.
-                break;
-            }
-            let back = backend.agg_backward(handle, &grad_agg, agg_kind)?;
-            grad = fold_direct(back, direct);
-        }
-        // Allreduce: parameter gradients plus the scalar loss.
-        let mut mats: Vec<Matrix> = net
-            .layers()
-            .iter()
-            .flat_map(|l| l.gradients().into_iter().cloned())
-            .collect();
-        mats.push(Matrix::full(1, 1, local_loss));
-        let reduced = handle.allreduce(mats)?;
-        let (loss_mat, grads) = reduced.split_last().expect("loss entry present");
-        losses.push(loss_mat[(0, 0)]);
-        let mut cursor = 0;
-        for layer in net.layers_mut() {
-            let count = layer.gradients().len();
-            layer.set_gradients(&grads[cursor..cursor + count]);
-            cursor += count;
-        }
-        net.step(cfg.lr);
-        ctx.publish(rank, &net, &losses);
+    kind: AggKind,
+    features: &Matrix,
+    halo: Option<&HaloGatherCtx<'_>>,
+) -> Result<Matrix, RuntimeError> {
+    let mut h = features.clone();
+    for (l, layer) in net.layers_mut().iter_mut().enumerate() {
+        let agg = match (l, halo) {
+            (0, Some(hctx)) => hctx.agg_forward(handle, &h, kind)?,
+            _ => backend.agg_forward(handle, &h, kind)?,
+        };
+        h = layer.forward_agg(&h, agg);
     }
-    let out = forward(&mut net, handle)?;
-    Ok((losses, out))
+    Ok(h)
 }
 
-/// The overlapped schedule: pipelined collectives, per-layer gradient
-/// buckets launched on a background worker as soon as each layer's
-/// backward completes, and — on the planned backend — the next epoch's
-/// first allgather (whose input, the raw features, never changes)
-/// posted eagerly while gradients drain and the weights step. The
-/// CAGNET backend interleaves its broadcasts with SpMM on the calling
-/// thread, so only the gradient buckets overlap there.
-///
-/// Bitwise identical to [`device_body_barriered`]: buckets keep a fixed
-/// submission order, the fabric sums each matrix in rank order
-/// independently of bucketing, and layer-`L` gradients are final the
-/// moment layer `L`'s backward returns (later backward calls touch other
-/// layers only).
-#[allow(clippy::too_many_arguments)]
-fn device_body_overlapped(
-    handle: &crate::runtime::DeviceHandle<'_>,
-    cfg: &TrainConfig,
-    ctx: &EpochCtx<'_>,
-    net0: &GnnNetwork,
+/// Allreduces parameter gradients plus the scalar local loss in one
+/// call, applies the summed gradients and steps: the per-batch tail of
+/// both rank bodies. Returns the global loss.
+pub(crate) fn reduce_and_step(
+    handle: &DeviceHandle<'_>,
+    net: &mut GnnNetwork,
+    lr: f32,
+    local_loss: f32,
+) -> Result<f32, RuntimeError> {
+    let mut mats: Vec<Matrix> = net
+        .layers()
+        .iter()
+        .flat_map(|l| l.gradients().into_iter().cloned())
+        .collect();
+    mats.push(Matrix::full(1, 1, local_loss));
+    let reduced = handle.allreduce(mats)?;
+    let (loss_mat, grads) = reduced.split_last().expect("loss entry present");
+    let mut cursor = 0;
+    for layer in net.layers_mut() {
+        let count = layer.gradients().len();
+        layer.set_gradients(&grads[cursor..cursor + count]);
+        cursor += count;
+    }
+    net.step(lr);
+    Ok(loss_mat[(0, 0)])
+}
+
+/// The full-graph body: full-batch epochs when `exact` is `None` (one
+/// unmasked batch per epoch), exact sampled epochs otherwise (every
+/// fanout ∞; one full-neighborhood forward per batch with the loss and
+/// its gradient masked to the batch rows). The masked loss zeroes diff
+/// rows outside the batch *before* the norm, so with one batch covering
+/// every seed it is exactly [`mse_loss`] (same element order, same
+/// single accumulator) and the exact path is bitwise the full-batch one.
+fn device_body_full(
+    handle: &DeviceHandle<'_>,
+    run: &RunCtx<'_>,
     backend: &dyn CommBackend,
-    eager_gather: bool,
-    per_device_features: &[Matrix],
-    per_device_targets: &[Matrix],
-    halo_cache: Option<&ClusterCache>,
+    exact: Option<&SamplingConfig>,
 ) -> Result<(Vec<f32>, Matrix), RuntimeError> {
     let rank = handle.rank;
-    let lg = handle.local_graph();
-    let adj = &lg.graph;
-    let num_local = lg.num_local;
-    let agg_kind = cfg.arch.agg_kind();
-    let mut net = net0.clone();
-    let halo = HaloGatherCtx::build(handle.comm_info(), rank, halo_cache);
-    let num_layers = net.num_layers();
-    let mut losses = Vec::with_capacity(ctx.end_epoch - ctx.start_epoch);
-    let worker = handle.overlap_worker();
-    let forward = |net: &mut GnnNetwork,
-                   handle: &crate::runtime::DeviceHandle<'_>,
-                   first: Option<crate::overlap::Pending<Matrix>>|
-     -> Result<Matrix, RuntimeError> {
-        let mut h = per_device_features[rank].clone();
-        let mut first = first;
-        for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-            let agg = match (first.take(), l, &halo) {
-                // The eagerly posted allgather runs the same pipelined
-                // executor the planned backend would invoke here.
-                (Some(p), _, _) => {
-                    let full = handle.wait_pending(p)?;
-                    match agg_kind {
-                        AggKind::Sum => aggregate_sum(adj, &full, num_local),
-                        AggKind::Mean => aggregate_mean(adj, &full, num_local),
-                    }
-                }
-                // With a cache active (which disables the eager gather),
-                // layer 0's exchange routes through the cache-aware halo.
-                (None, 0, Some(hctx)) => hctx.agg_forward(handle, &h, agg_kind)?,
-                _ => backend.agg_forward(handle, &h, agg_kind)?,
-            };
-            h = layer.forward_agg(&h, agg);
-        }
-        Ok(h)
+    let agg_kind = run.cfg.arch.agg_kind();
+    let features = &run.features[rank];
+    let targets = &run.targets[rank];
+    let owned = &handle.comm_info().pg.local[rank];
+    let halo = HaloGatherCtx::build(handle.comm_info(), rank, run.halo_cache);
+    let seeds = match exact {
+        Some(scfg) => crate::sampling::exact_seeds(handle, scfg, run.graph)?,
+        None => Vec::new(),
     };
-    let submit_eager = |handle: &crate::runtime::DeviceHandle<'_>|
-     -> Result<Option<crate::overlap::Pending<Matrix>>, RuntimeError> {
-        if eager_gather {
-            Ok(Some(handle.submit_allgather(
-                &worker,
-                per_device_features[rank].clone(),
-            )?))
-        } else {
-            Ok(None)
-        }
-    };
-    let mut next_gather = submit_eager(handle)?;
-    for epoch in ctx.start_epoch..ctx.end_epoch {
+    let mut net = run.net0.clone();
+    let mut losses = Vec::with_capacity(run.end_epoch - run.start_epoch);
+    for epoch in run.start_epoch..run.end_epoch {
         handle.check_epoch_fault(epoch)?;
-        let out = forward(&mut net, handle, next_gather)?;
-        let (local_loss, grad_out) = mse_loss(&out, &per_device_targets[rank]);
-        let mut buckets = Vec::with_capacity(num_layers + 1);
-        buckets.push(handle.submit_allreduce(&worker, vec![Matrix::full(1, 1, local_loss)])?);
-        // Backward deepest layer first; each layer's gradient bucket
-        // reduces while the next layer's backward computes.
-        let mut grad = grad_out;
-        for (l, layer) in net.layers_mut().iter_mut().enumerate().rev() {
-            let (grad_agg, direct) = layer.backward_agg(&grad);
-            if !(l == 0 && halo.is_some()) {
+        // `None` is the whole graph, unmasked; a batch is kept sorted
+        // for the mask's binary search.
+        let batches: Vec<Option<Vec<_>>> = match exact {
+            Some(scfg) => seed_batches(&seeds, scfg.batch_size, scfg.seed, epoch)
+                .into_iter()
+                .map(|mut batch| {
+                    batch.sort_unstable();
+                    Some(batch)
+                })
+                .collect(),
+            None => vec![None],
+        };
+        let mut epoch_loss = 0.0f32;
+        for batch in &batches {
+            let out = full_forward(handle, &mut net, backend, agg_kind, features, halo.as_ref())?;
+            let (local_loss, grad_out) = match batch {
+                None => mse_loss(&out, targets),
+                Some(batch) => {
+                    let mut diff = out.sub(targets);
+                    for (j, v) in owned.iter().enumerate() {
+                        if batch.binary_search(v).is_err() {
+                            diff.row_mut(j).fill(0.0);
+                        }
+                    }
+                    (0.5 * diff.norm_sq(), diff)
+                }
+            };
+            // Backward through the layers, routing each layer's
+            // aggregate gradient through the backend's adjoint exchange.
+            let mut grad = grad_out;
+            for (l, layer) in net.layers_mut().iter_mut().enumerate().rev() {
+                let (grad_agg, direct) = layer.backward_agg(&grad);
+                if l == 0 && halo.is_some() {
+                    // Layer 0's aggregate gradient flows only into the raw
+                    // features, which don't learn; every rank skips the
+                    // dead exchange together, keeping op counters aligned.
+                    break;
+                }
                 let back = backend.agg_backward(handle, &grad_agg, agg_kind)?;
                 grad = fold_direct(back, direct);
             }
-            // Layer 0's aggregate gradient (skipped above with the halo
-            // active — it flows only into the non-learning raw features)
-            // never feeds the parameter gradients, so the bucket still
-            // submits in the fixed order.
-            let mats: Vec<Matrix> = layer.gradients().into_iter().cloned().collect();
-            buckets.push(handle.submit_allreduce(&worker, mats)?);
+            epoch_loss += reduce_and_step(handle, &mut net, run.cfg.lr, local_loss)?;
         }
-        // Next epoch's first exchange streams while gradients drain.
-        next_gather = submit_eager(handle)?;
-        let mut buckets = buckets.into_iter();
-        let loss = handle.wait_pending(buckets.next().expect("loss bucket"))?;
-        losses.push(loss[0][(0, 0)]);
-        for (offset, pending) in buckets.enumerate() {
-            let li = num_layers - 1 - offset;
-            let grads = handle.wait_pending(pending)?;
-            net.layers_mut()[li].set_gradients(&grads);
-        }
-        net.step(cfg.lr);
-        ctx.publish(rank, &net, &losses);
+        losses.push(epoch_loss);
+        run.publish(rank, &net, &losses);
     }
-    let out = forward(&mut net, handle, next_gather)?;
+    let out = full_forward(handle, &mut net, backend, agg_kind, features, halo.as_ref())?;
     Ok((losses, out))
 }
 

@@ -68,7 +68,6 @@ fn case(seed: u64) -> Case {
 
 fn base_cfg(arch: Architecture, epochs: usize) -> TrainConfig {
     let mut cfg = TrainConfig::new(arch, &[6, 5, 3], epochs);
-    cfg.overlap = false;
     if arch == Architecture::Gin {
         cfg.lr = 1e-6;
     }
@@ -79,14 +78,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Full-batch: every policy reproduces the cache-off run bit for
-    /// bit, per backend, per device count, barriered and overlapped.
+    /// bit, per backend, per device count.
     #[test]
     fn full_batch_cache_is_bitwise_off(
         devices in 2usize..=8,
         arch_idx in 0usize..ARCHS.len(),
         backend_idx in 0usize..BACKENDS.len(),
         policy_idx in 0usize..POLICIES.len(),
-        overlap in any::<bool>(),
         graph_seed in 1u64..4,
     ) {
         let c = case(graph_seed);
@@ -96,7 +94,6 @@ proptest! {
             BuildOptions::default(),
         );
         let mut cfg = base_cfg(ARCHS[arch_idx], 3);
-        cfg.overlap = overlap;
         cfg.backend = Some(BACKENDS[backend_idx]);
         cfg.feature_cache = Some(CachePolicy::Off);
         let off = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
@@ -106,20 +103,20 @@ proptest! {
             .expect("healthy cluster");
         prop_assert_eq!(
             &off.epoch_losses, &on.epoch_losses,
-            "losses diverge: {} devices, {:?}, {:?}, overlap={}",
-            devices, BACKENDS[backend_idx], POLICIES[policy_idx], overlap
+            "losses diverge: {} devices, {:?}, {:?}",
+            devices, BACKENDS[backend_idx], POLICIES[policy_idx]
         );
         prop_assert_eq!(
             off.outputs.max_abs_diff(&on.outputs), 0.0,
-            "outputs diverge: {} devices, {:?}, {:?}, overlap={}",
-            devices, BACKENDS[backend_idx], POLICIES[policy_idx], overlap
+            "outputs diverge: {} devices, {:?}, {:?}",
+            devices, BACKENDS[backend_idx], POLICIES[policy_idx]
         );
         prop_assert!(off.cache.is_none(), "Off must report no cache stats");
         prop_assert!(on.cache.is_some(), "active policy must report stats");
     }
 
     /// Sampled block path (finite fanouts): the cache serves layer-0
-    /// fetch and prefetch without perturbing a single bit.
+    /// fetch without perturbing a single bit.
     #[test]
     fn sampled_cache_is_bitwise_off(
         devices in 2usize..=6,
@@ -127,7 +124,6 @@ proptest! {
         policy_idx in 0usize..POLICIES.len(),
         fanout in 2usize..5,
         batch_size in 16usize..64,
-        prefetch in any::<bool>(),
     ) {
         let c = case(5);
         let info = build_comm_info(
@@ -137,9 +133,7 @@ proptest! {
         );
         let mut cfg = base_cfg(Architecture::Gcn, 2);
         cfg.backend = Some(BACKENDS[backend_idx]);
-        let mut scfg = SamplingConfig::new(batch_size, vec![Some(fanout), Some(fanout)]);
-        scfg.prefetch = prefetch;
-        cfg.sampling = Some(scfg);
+        cfg.sampling = Some(SamplingConfig::new(batch_size, vec![Some(fanout), Some(fanout)]));
         cfg.feature_cache = Some(CachePolicy::Off);
         let off = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
             .expect("healthy cluster");
@@ -148,13 +142,13 @@ proptest! {
             .expect("healthy cluster");
         prop_assert_eq!(
             &off.epoch_losses, &on.epoch_losses,
-            "losses diverge: {} devices, {:?}, {:?}, prefetch={}",
-            devices, BACKENDS[backend_idx], POLICIES[policy_idx], prefetch
+            "losses diverge: {} devices, {:?}, {:?}",
+            devices, BACKENDS[backend_idx], POLICIES[policy_idx]
         );
         prop_assert_eq!(
             off.outputs.max_abs_diff(&on.outputs), 0.0,
-            "outputs diverge: {} devices, {:?}, {:?}, prefetch={}",
-            devices, BACKENDS[backend_idx], POLICIES[policy_idx], prefetch
+            "outputs diverge: {} devices, {:?}, {:?}",
+            devices, BACKENDS[backend_idx], POLICIES[policy_idx]
         );
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The invariant elastic recovery rests on: **resuming from a
 //! checkpoint is invisible**. For any crash epoch, any serialization
-//! round trip, any architecture and any overlap mode, a run that stops
+//! round trip and any architecture, a run that stops
 //! mid-training, serializes its checkpoint to bytes, deserializes and
 //! resumes, is *bitwise* identical to the uninterrupted run — the same
 //! loss at every later epoch and the same final outputs. Without this,
@@ -31,7 +31,6 @@ proptest! {
     fn serialized_resume_is_bitwise_invisible(
         stop_epoch in 1usize..4,
         arch_idx in 0usize..ARCHS.len(),
-        overlap in any::<bool>(),
         graph_seed in 1u64..4,
     ) {
         let epochs = 4;
@@ -41,8 +40,7 @@ proptest! {
         let mut init = XavierInit::new(graph_seed);
         let features = init.features(n, 6);
         let targets = init.features(n, 3);
-        let mut cfg = TrainConfig::new(ARCHS[arch_idx], &[6, 4, 3], epochs);
-        cfg.overlap = overlap;
+        let cfg = TrainConfig::new(ARCHS[arch_idx], &[6, 4, 3], epochs);
 
         let uninterrupted = train_distributed_resumable(
             &info, &graph, &features, &targets, &cfg,

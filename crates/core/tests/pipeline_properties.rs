@@ -1,5 +1,4 @@
-//! Property suite for the chunk-pipelined collectives and the
-//! communication–compute overlap.
+//! Property suite for the chunk-pipelined collectives the trainer runs.
 //!
 //! Three invariants:
 //!
@@ -9,10 +8,9 @@
 //!    count 2..=8, the pipelined `graph_allgather` / `scatter_backward`
 //!    return exactly what the barriered compiled path and the uncompiled
 //!    reference return, on every rank.
-//! 2. **Overlap never changes bits.** Training with the bucketed
-//!    per-layer allreduce and eager allgather (`TrainConfig::overlap`)
-//!    produces losses and outputs bitwise equal to the fully barriered
-//!    trainer, at every chunk size.
+//! 2. **Chunking never changes training bits.** `train_distributed`,
+//!    which drives the pipelined executor, produces losses and outputs
+//!    bitwise equal across every chunk size.
 //! 3. **A crash mid-chunk fails fast.** A rank that dies with some
 //!    chunks of an operation already delivered ([`FaultEvent::CrashMidOp`])
 //!    poisons every survivor within the collective deadline — never a
@@ -109,36 +107,38 @@ proptest! {
     }
 }
 
-/// Invariant 2: the overlapped trainer is bitwise equal to the barriered
-/// trainer at every chunk size (deterministic sweep — no randomness to
+/// Invariant 2: training through the pipelined executor is bitwise
+/// identical at every chunk size (deterministic sweep — no randomness to
 /// explore, so a plain loop beats proptest here).
 #[test]
-fn overlapped_training_is_bitwise_identical_to_barriered() {
+fn training_is_bitwise_identical_across_chunk_sizes() {
     let graph = Dataset::WikiTalk.generate(0.0005, 3);
     let n = graph.num_vertices();
     let mut init = XavierInit::new(8);
     let features = init.features(n, 6);
     let targets = init.features(n, 3);
-    for chunk_rows in CHUNK_SIZES {
-        let options = BuildOptions {
-            chunk_rows,
-            ..BuildOptions::default()
-        };
-        let info = build_comm_info(&graph, Topology::fig6(), options);
-        let mut cfg = TrainConfig::new(Architecture::Gcn, &[6, 3], 2);
-        cfg.overlap = false;
-        let barriered = train_distributed(&info, &graph, &features, &targets, &cfg)
-            .expect("barriered run healthy");
-        cfg.overlap = true;
-        let overlapped = train_distributed(&info, &graph, &features, &targets, &cfg)
-            .expect("overlapped run healthy");
+    let cfg = TrainConfig::new(Architecture::Gcn, &[6, 3], 2);
+    let reports: Vec<_> = CHUNK_SIZES
+        .iter()
+        .map(|&chunk_rows| {
+            let options = BuildOptions {
+                chunk_rows,
+                ..BuildOptions::default()
+            };
+            let info = build_comm_info(&graph, Topology::fig6(), options);
+            train_distributed(&info, &graph, &features, &targets, &cfg).expect("healthy run")
+        })
+        .collect();
+    for (chunk_rows, report) in CHUNK_SIZES.iter().zip(&reports).skip(1) {
         assert_eq!(
-            barriered.epoch_losses, overlapped.epoch_losses,
-            "losses diverged under overlap (chunk_rows {chunk_rows})"
+            reports[0].epoch_losses, report.epoch_losses,
+            "losses diverged at chunk_rows {chunk_rows} vs {}",
+            CHUNK_SIZES[0]
         );
         assert_eq!(
-            barriered.outputs, overlapped.outputs,
-            "outputs diverged under overlap (chunk_rows {chunk_rows})"
+            reports[0].outputs, report.outputs,
+            "outputs diverged at chunk_rows {chunk_rows} vs {}",
+            CHUNK_SIZES[0]
         );
     }
 }

@@ -6,12 +6,11 @@
 //! embeddings, across 2..=8 devices and both aggregation backends. The
 //! exact path's masked loss zeroes diff rows outside the batch before
 //! the same single-accumulator norm `mse_loss` uses, so a full mask is
-//! instruction-for-instruction the barriered full-batch epoch.
+//! instruction-for-instruction the full-batch epoch.
 //!
 //! Around the anchor:
 //!
-//! * Finite-fanout runs are deterministic (run-to-run bitwise equal) and
-//!   independent of whether feature prefetch rides the overlap worker.
+//! * Finite-fanout runs are deterministic (run-to-run bitwise equal).
 //! * Sampled training still trains: losses decrease over epochs.
 //! * An out-of-range training vertex surfaces as a typed
 //!   [`ClusterError`] through `run_cluster` — never a rank-thread abort.
@@ -55,9 +54,6 @@ fn case(seed: u64) -> Case {
 
 fn base_cfg(arch: Architecture, epochs: usize) -> TrainConfig {
     let mut cfg = TrainConfig::new(arch, &[6, 5, 3], epochs);
-    // Barriered reference: the overlap flag must not be a variable in
-    // the bitwise comparison (the sampled paths run barriered anyway).
-    cfg.overlap = false;
     if arch == Architecture::Gin {
         cfg.lr = 1e-6;
     }
@@ -100,10 +96,9 @@ proptest! {
         );
     }
 
-    /// Finite fanouts: the block path is run-to-run deterministic and
-    /// numerically independent of the prefetch worker.
+    /// Finite fanouts: the block path is run-to-run deterministic.
     #[test]
-    fn block_path_is_deterministic_and_prefetch_neutral(
+    fn block_path_is_deterministic(
         devices in 2usize..=6,
         backend_idx in 0usize..BACKENDS.len(),
         fanout in 2usize..5,
@@ -117,20 +112,13 @@ proptest! {
         );
         let mut cfg = base_cfg(Architecture::Gcn, 2);
         cfg.backend = Some(BACKENDS[backend_idx]);
-        let mut scfg = SamplingConfig::new(batch_size, vec![Some(fanout), Some(fanout)]);
-        scfg.prefetch = false;
-        cfg.sampling = Some(scfg);
+        cfg.sampling = Some(SamplingConfig::new(batch_size, vec![Some(fanout), Some(fanout)]));
         let a = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
             .expect("healthy cluster");
         let b = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
             .expect("healthy cluster");
         prop_assert_eq!(&a.epoch_losses, &b.epoch_losses, "rerun diverged");
         prop_assert_eq!(a.outputs.max_abs_diff(&b.outputs), 0.0, "rerun diverged");
-        cfg.sampling.as_mut().expect("set above").prefetch = true;
-        let p = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
-            .expect("healthy cluster");
-        prop_assert_eq!(&a.epoch_losses, &p.epoch_losses, "prefetch changed losses");
-        prop_assert_eq!(a.outputs.max_abs_diff(&p.outputs), 0.0, "prefetch changed outputs");
     }
 }
 

@@ -183,39 +183,20 @@ fn partitioned_compute_seconds(pg: &PartitionedGraph, cfg: &EpochConfig) -> f64 
     total
 }
 
-/// Per-epoch communication cost of a staged plan, split into the parts
-/// the overlap model hides differently.
-struct PlanCommParts {
-    /// Forward + backward wire time across all layers.
-    transfer_seconds: f64,
-    /// Gradient-apply time across all layers (the part bucketed
-    /// allreduce overlap can hide behind backward compute).
-    apply_seconds: f64,
-    /// Extra sub-stage barrier cost of the non-atomic split.
-    substage_seconds: f64,
-    /// Average per-GPU volume in bytes.
-    avg_volume: u64,
-}
-
-impl PlanCommParts {
-    fn total_seconds(&self) -> f64 {
-        self.transfer_seconds + self.apply_seconds + self.substage_seconds
-    }
-}
-
 /// Communication cost for one forward + backward epoch of a staged plan:
 /// each layer runs the plan forward (embedding allgather) and reversed
 /// (gradient scatter), with the gradient-apply cost and, when enabled,
 /// the extra sub-stage barriers of the non-atomic split. With
 /// `chunk_rows` set, transfers go through the chunk-pipelined model
-/// ([`simulate_plan_pipelined`]) instead of the barriered one.
-fn plan_comm_parts(
+/// ([`simulate_plan_pipelined`]) instead of the barriered one. Returns
+/// the seconds and the average per-GPU volume in bytes.
+fn plan_comm_seconds(
     plan: &CommPlan,
     pg: &PartitionedGraph,
     topology: &Topology,
     cfg: &EpochConfig,
     chunk_rows: Option<usize>,
-) -> PlanCommParts {
+) -> (f64, u64) {
     let mut transfer = 0.0;
     let mut apply_total = 0.0;
     let mut substage_total = 0.0;
@@ -263,23 +244,10 @@ fn plan_comm_parts(
         substage_total += substage_cost;
         volume_total += 2 * plan.total_transfers() as u64 * bytes;
     }
-    PlanCommParts {
-        transfer_seconds: transfer,
-        apply_seconds: apply_total,
-        substage_seconds: substage_total,
-        avg_volume: volume_total / pg.num_parts.max(1) as u64,
-    }
-}
-
-/// Barriered communication time for one epoch (see [`plan_comm_parts`]).
-fn plan_comm_seconds(
-    plan: &CommPlan,
-    pg: &PartitionedGraph,
-    topology: &Topology,
-    cfg: &EpochConfig,
-) -> (f64, u64) {
-    let parts = plan_comm_parts(plan, pg, topology, cfg, None);
-    (parts.total_seconds(), parts.avg_volume)
+    (
+        transfer + apply_total + substage_total,
+        volume_total / pg.num_parts.max(1) as u64,
+    )
 }
 
 /// Barriered vs pipelined epoch time for DGCL's plan on one setup (the
@@ -292,12 +260,8 @@ pub struct OverlapBreakdown {
     pub compute_seconds: f64,
     /// Communication per epoch under the barriered schedule.
     pub comm_barriered_seconds: f64,
-    /// Communication per epoch under the chunk-pipelined schedule, with
-    /// the overlappable gradient-apply already subtracted.
+    /// Communication per epoch under the chunk-pipelined schedule.
     pub comm_pipelined_seconds: f64,
-    /// Gradient-apply time hidden behind backward compute by the
-    /// bucketed-allreduce overlap.
-    pub hidden_apply_seconds: f64,
 }
 
 impl OverlapBreakdown {
@@ -306,17 +270,17 @@ impl OverlapBreakdown {
         self.compute_seconds + self.comm_barriered_seconds
     }
 
-    /// Epoch time with chunk pipelining and communication–compute
-    /// overlap.
+    /// Epoch time with chunk-pipelined collectives and serial
+    /// communication.
     pub fn pipelined_epoch_seconds(&self) -> f64 {
         self.compute_seconds + self.comm_pipelined_seconds
     }
 }
 
-/// Simulates one DGCL epoch twice — barriered (PR 2's serial schedule)
-/// and pipelined (chunked transfers via [`simulate_plan_pipelined`] plus
-/// the trainer's bucketed-allreduce overlap, which hides gradient-apply
-/// behind the backward half of compute) — and reports both.
+/// Simulates one DGCL epoch twice — barriered collectives and
+/// chunk-pipelined ones ([`simulate_plan_pipelined`]) — and reports
+/// both. Either way communication and compute strictly alternate, as in
+/// the trainer's single per-rank loop.
 ///
 /// # Panics
 ///
@@ -331,18 +295,13 @@ pub fn simulate_overlap(
     let pg = partition_for(graph, topology, cfg.seed);
     let compute = partitioned_compute_seconds(&pg, cfg);
     let outcome = spst_plan(&pg, topology, 4 * cfg.feature_size as u64, cfg.seed);
-    let barriered = plan_comm_parts(&outcome.plan, &pg, topology, cfg, None);
-    let pipelined = plan_comm_parts(&outcome.plan, &pg, topology, cfg, Some(chunk_rows));
-    // The worker applies each layer's reduced gradients while the next
-    // layer's backward matmuls run; the backward half of the epoch's
-    // compute bounds what can be hidden.
-    let hidden = pipelined.apply_seconds.min(0.5 * compute);
+    let (barriered, _) = plan_comm_seconds(&outcome.plan, &pg, topology, cfg, None);
+    let (pipelined, _) = plan_comm_seconds(&outcome.plan, &pg, topology, cfg, Some(chunk_rows));
     OverlapBreakdown {
         devices: topology.num_gpus(),
         compute_seconds: compute,
-        comm_barriered_seconds: barriered.total_seconds(),
-        comm_pipelined_seconds: pipelined.total_seconds() - hidden,
-        hidden_apply_seconds: hidden,
+        comm_barriered_seconds: barriered,
+        comm_pipelined_seconds: pipelined,
     }
 }
 
@@ -386,12 +345,12 @@ pub fn simulate_epoch(
     let (comm, volume, planning) = match method {
         Method::Dgcl => {
             let outcome = spst_plan(&pg, topology, 4 * cfg.feature_size as u64, cfg.seed);
-            let (c, v) = plan_comm_seconds(&outcome.plan, &pg, topology, cfg);
+            let (c, v) = plan_comm_seconds(&outcome.plan, &pg, topology, cfg, None);
             (c, v, outcome.planning_seconds)
         }
         Method::PeerToPeer => {
             let plan = peer_to_peer(&pg);
-            let (c, v) = plan_comm_seconds(&plan, &pg, topology, cfg);
+            let (c, v) = plan_comm_seconds(&plan, &pg, topology, cfg, None);
             (c, v, 0.0)
         }
         Method::Swap => {
@@ -575,7 +534,7 @@ fn simulate_dgcl_r(graph: &CsrGraph, topology: &Topology, cfg: &EpochConfig) -> 
         let intra_topo = Topology::dgx1_subset(g.min(8));
         let outcome = spst_plan(&sub_pg, &intra_topo, 4 * cfg.feature_size as u64, cfg.seed);
         planning += outcome.planning_seconds;
-        let (comm, vol) = plan_comm_seconds(&outcome.plan, &sub_pg, &intra_topo, cfg);
+        let (comm, vol) = plan_comm_seconds(&outcome.plan, &sub_pg, &intra_topo, cfg, None);
         volume += vol;
         // Compute: per layer, the machine must produce the shrinking
         // closure; work spreads over its GPUs following the intra-machine
@@ -755,7 +714,6 @@ mod tests {
                     b.pipelined_epoch_seconds(),
                     b.barriered_epoch_seconds()
                 );
-                assert!(b.hidden_apply_seconds > 0.0);
             }
         }
     }
