@@ -1,9 +1,8 @@
 //! Criterion bench for the SPST planner (Table 8's measurement).
 //!
-//! Benchmarks the exact sequential planner against the batched fast
-//! path (`SpstConfig::batched`) at one and several threads, so the
-//! demand-class-reuse win and the thread-scaling win are visible
-//! separately.
+//! Benchmarks the exact sequential planner against its reuse tier
+//! (`SpstConfig::reuse`), so the demand-class-reuse win is visible on
+//! its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dgcl_bench::RunContext;
@@ -27,18 +26,9 @@ fn bench_spst(c: &mut Criterion) {
                 |b, _| b.iter(|| spst_plan(&pg, &topo, 1024, 42)),
             );
             group.bench_with_input(
-                BenchmarkId::new(format!("{}-batched1", dataset.name()), gpus),
+                BenchmarkId::new(format!("{}-reuse", dataset.name()), gpus),
                 &gpus,
-                |b, _| {
-                    b.iter(|| spst_plan_with_config(&pg, &topo, 1024, 42, SpstConfig::batched(1)))
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("{}-batched4", dataset.name()), gpus),
-                &gpus,
-                |b, _| {
-                    b.iter(|| spst_plan_with_config(&pg, &topo, 1024, 42, SpstConfig::batched(4)))
-                },
+                |b, _| b.iter(|| spst_plan_with_config(&pg, &topo, 1024, 42, SpstConfig::reuse())),
             );
         }
     }

@@ -29,7 +29,7 @@ use dgcl_graph::Dataset;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{cpus, ms, print_table, RunContext};
 
 /// One (graph, capacity) sweep point.
 struct CacheRecord {
@@ -46,12 +46,6 @@ struct CacheRecord {
 
 fn smoke() -> bool {
     std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 fn policy_name(policy: CachePolicy) -> String {

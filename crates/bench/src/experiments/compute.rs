@@ -34,7 +34,7 @@ use dgcl_graph::Dataset;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{cpus, ms, print_table, RunContext};
 
 /// Thread counts every kernel is measured at.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -57,12 +57,6 @@ struct EpochRecord {
 
 fn smoke() -> bool {
     std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Median-of-`reps` wall time of `body` in seconds.

@@ -20,7 +20,7 @@ use dgcl_graph::Dataset;
 use dgcl_sim::{simulate_overlap, GnnModel};
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{cpus, ms, print_table, RunContext};
 
 /// Chunk size (rows) used for every pipelined cell; matches
 /// `BuildOptions::default().chunk_rows`.
@@ -40,12 +40,6 @@ struct SimRecord {
 
 fn smoke() -> bool {
     std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 pub fn run(ctx: &mut RunContext) {

@@ -4,7 +4,7 @@
 //! Two questions, straight from the elastic-recovery design:
 //!
 //! * **Replan cost** — after an eviction the survivors' demands fall
-//!   into few demand classes, so replanning with the batched planner
+//!   into few demand classes, so replanning with the reuse tier
 //!   (demand-class cache on) should resolve most demands from cache
 //!   where the exact cold planner runs a full spanning-tree search per
 //!   demand. Measured per graph on the 3-GPU survivor topology:
@@ -30,7 +30,7 @@ use dgcl_sim::epoch::partition_for;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{cpus, ms, print_table, RunContext};
 
 /// One per-graph replan comparison on the survivor topology.
 struct ReplanRecord {
@@ -60,12 +60,6 @@ fn smoke() -> bool {
     std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Best-of-`reps` of a body returning its own wall time in seconds
 /// (planning is minimum-meaningful: noise only ever adds).
 fn best_of<F: FnMut() -> f64>(reps: usize, mut body: F) -> f64 {
@@ -82,7 +76,7 @@ pub fn run(ctx: &mut RunContext) {
     // fig6 with one GPU evicted. Timed at the planner (the partition
     // and table compilation around it are identical either way).
     let survivors = Topology::fig6().evict_gpus(&[2]);
-    let warm_config = SpstConfig::batched(cpus().clamp(1, 8));
+    let warm_config = SpstConfig::reuse();
     let mut replans: Vec<ReplanRecord> = Vec::new();
     let mut rows = Vec::new();
     for dataset in [Dataset::WikiTalk, Dataset::WebGoogle] {
@@ -113,8 +107,7 @@ pub fn run(ctx: &mut RunContext) {
             cold_stats.full_searches.to_string(),
             format!(
                 "{} ({} cached)",
-                warm_stats.full_searches,
-                warm_stats.cache_commits + warm_stats.speculative_commits
+                warm_stats.full_searches, warm_stats.cache_commits
             ),
         ]);
         replans.push(ReplanRecord {
@@ -125,11 +118,11 @@ pub fn run(ctx: &mut RunContext) {
             demands: cold_stats.demands,
             cold_full_searches: cold_stats.full_searches,
             warm_full_searches: warm_stats.full_searches,
-            warm_cache_commits: warm_stats.cache_commits + warm_stats.speculative_commits,
+            warm_cache_commits: warm_stats.cache_commits,
         });
     }
     print_table(
-        "Recovery: survivor replan, cold exact vs warm batched (3 GPUs)",
+        "Recovery: survivor replan, cold exact vs warm reuse tier (3 GPUs)",
         &[
             "Dataset",
             "Cold (ms)",
@@ -141,7 +134,7 @@ pub fn run(ctx: &mut RunContext) {
         &rows,
     );
     println!(
-        "  (cold = exact sequential planner, one spanning-tree search per demand;\n   warm = batched planner, demand-class cache resolving repeat classes.)"
+        "  (cold = exact sequential planner, one spanning-tree search per demand;\n   warm = reuse tier, demand-class cache resolving repeat classes.)"
     );
 
     // End-to-end: inject one crash per mode and run the elastic driver.

@@ -29,7 +29,7 @@ use dgcl_sim::SamplingModel;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{cpus, ms, print_table, RunContext};
 
 /// One (graph, configuration) training measurement.
 struct SamplingRecord {
@@ -46,12 +46,6 @@ struct SamplingRecord {
 
 fn smoke() -> bool {
     std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 pub fn run(ctx: &mut RunContext) {

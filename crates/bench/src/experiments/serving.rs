@@ -34,7 +34,7 @@ use dgcl_gnn::{Architecture, GnnNetwork};
 use dgcl_graph::{CsrGraph, Dataset, VertexId};
 use dgcl_tensor::XavierInit;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{cpus, ms, print_table, RunContext};
 
 /// One (graph, load, policy) measurement.
 struct ServingRecord {
@@ -51,12 +51,6 @@ struct ServingRecord {
 
 fn smoke() -> bool {
     std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// splitmix64 — deterministic request targets without a rand crate.

@@ -66,6 +66,14 @@ impl RunContext {
     }
 }
 
+/// The machine's available parallelism, recorded as `cpus` in every
+/// measured BENCH file.
+pub fn cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// Formats seconds as milliseconds with sensible precision.
 pub fn ms(seconds: f64) -> String {
     let v = seconds * 1e3;

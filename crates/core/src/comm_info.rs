@@ -41,7 +41,7 @@ pub struct BuildOptions {
     pub backend: BackendPolicy,
     /// Planner configuration. The default is the exact sequential
     /// planner (bit-identical plans, no cache); recovery replans pass
-    /// [`SpstConfig::batched`] so the demand-class cache amortises the
+    /// [`SpstConfig::reuse`] so the demand-class cache amortises the
     /// survivors' near-identical demands.
     pub spst: SpstConfig,
     /// Hot-vertex remote feature cache policy. The admission ranking is

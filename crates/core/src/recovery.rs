@@ -72,9 +72,8 @@ pub struct RecoveryConfig {
     /// [`RecoveryConfig::replan`] substituted) every survivor replan.
     pub build: BuildOptions,
     /// Planner configuration for survivor replans. Defaults to
-    /// [`SpstConfig::batched`] over the build's thread count — the
-    /// demand-class cache is what makes a replan cheaper than the cold
-    /// initial plan.
+    /// [`SpstConfig::reuse`] — the demand-class cache is what makes a
+    /// replan cheaper than the cold initial plan.
     pub replan: SpstConfig,
     /// Serialized-checkpoint cadence; `None` keeps only the in-memory
     /// tier.
@@ -89,7 +88,7 @@ impl Default for RecoveryConfig {
             fabrics: Vec::new(),
             max_evictions: 2,
             build: BuildOptions::default(),
-            replan: SpstConfig::batched(4),
+            replan: SpstConfig::reuse(),
             spec: None,
             resume: ResumePolicy::Memory,
         }
@@ -202,7 +201,7 @@ pub fn train_elastic(
                 }
                 topology = topology.evict_gpus(&dead);
                 // Warm replan over the survivors: same seed and payload
-                // sizing, batched planner with the demand-class cache.
+                // sizing, reuse tier with the demand-class cache.
                 build.spst = rcfg.replan;
                 let replan_start = Instant::now();
                 info = Arc::new(build_comm_info(graph, topology.clone(), build));

@@ -40,6 +40,12 @@ impl From<std::io::Error> for IoError {
     }
 }
 
+/// Most edges a METIS header may pre-reserve. The header's edge count is
+/// unchecked input: past this, the edge list grows only as adjacency
+/// lines actually arrive, so a lying header cannot drive an allocation
+/// the file does not back.
+const METIS_RESERVE_CAP: usize = 1 << 16;
+
 fn parse_error(line: usize, message: impl Into<String>) -> IoError {
     IoError::Parse {
         line,
@@ -113,8 +119,9 @@ pub fn write_edge_list<W: Write>(graph: &CsrGraph, writer: W) -> Result<(), IoEr
 ///
 /// # Errors
 ///
-/// Returns [`IoError`] on I/O failures, malformed content, or weighted
-/// formats.
+/// Returns [`IoError`] on I/O failures, malformed content, weighted
+/// formats, or counts that overflow (more vertices than 32-bit ids can
+/// name, or an edge count whose directed double overflows `usize`).
 pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
     let reader = BufReader::new(reader);
     let mut lines = reader.lines().enumerate();
@@ -146,7 +153,19 @@ pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
             "weighted METIS formats are not supported",
         ));
     }
-    let mut b = GraphBuilder::with_capacity(n, 2 * m);
+    if n > VertexId::MAX as usize + 1 {
+        return Err(parse_error(
+            header_idx + 1,
+            format!("vertex count {n} exceeds the 32-bit vertex id range"),
+        ));
+    }
+    let directed = m.checked_mul(2).ok_or_else(|| {
+        parse_error(
+            header_idx + 1,
+            format!("edge count {m} overflows when doubled"),
+        )
+    })?;
+    let mut b = GraphBuilder::with_capacity(n, directed.min(METIS_RESERVE_CAP));
     let mut vertex: usize = 0;
     for (idx, line) in lines {
         let line = line?;
@@ -276,6 +295,66 @@ mod tests {
     fn metis_rejects_weighted_format() {
         let text = "2 1 011\n2 5\n1 5\n";
         assert!(read_metis(text.as_bytes()).is_err());
+    }
+
+    /// A small symmetric graph with multi-digit ids, so truncation cuts
+    /// through tokens as well as between them.
+    fn sample_graph() -> CsrGraph {
+        let mut b = GraphBuilder::new(14);
+        for v in 0..14u32 {
+            b.add_edge(v, (v + 1) % 14);
+            b.add_edge(v, (v * 5 + 3) % 14);
+        }
+        b.build_symmetric()
+    }
+
+    #[test]
+    fn metis_huge_count_fields_do_not_drive_allocation() {
+        // The header alone used to size the edge list: a two-line file
+        // claiming 10^12 edges reserved 16 TB and aborted, and an edge
+        // count near `usize::MAX` overflowed `2 * m`.
+        let g = read_metis("1 1000000000000\n\n".as_bytes()).expect("header lies, body is fine");
+        assert_eq!(g.num_vertices(), 1);
+        assert_eq!(g.num_edges(), 0);
+        assert!(matches!(
+            read_metis("1 18446744073709551615\n\n".as_bytes()),
+            Err(IoError::Parse { line: 1, .. })
+        ));
+        // Counts past `usize` or the 32-bit id range are typed errors.
+        for header in ["1 18446744073709551616\n\n", "4294967297 0\n"] {
+            assert!(
+                matches!(read_metis(header.as_bytes()), Err(IoError::Parse { .. })),
+                "{header:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn metis_truncation_at_every_length_is_ok_or_an_error() {
+        // Any prefix of a valid file must parse or fail with a typed
+        // error, never panic.
+        let g = sample_graph();
+        let mut bytes = Vec::new();
+        write_metis(&g, &mut bytes).expect("write");
+        for cut in 0..bytes.len() {
+            if let Ok(prefix) = read_metis(&bytes[..cut]) {
+                assert_eq!(prefix.num_vertices(), g.num_vertices(), "cut {cut}");
+            }
+        }
+        assert_eq!(read_metis(&bytes[..]).expect("full file"), g);
+    }
+
+    #[test]
+    fn edge_list_truncation_at_every_length_is_ok_or_an_error() {
+        let g = sample_graph();
+        let mut bytes = Vec::new();
+        write_edge_list(&g, &mut bytes).expect("write");
+        for cut in 0..bytes.len() {
+            if let Ok(prefix) = read_edge_list(&bytes[..cut]) {
+                assert!(prefix.num_vertices() <= g.num_vertices(), "cut {cut}");
+            }
+        }
+        assert_eq!(read_edge_list(&bytes[..]).expect("full file"), g);
     }
 
     #[test]

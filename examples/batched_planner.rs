@@ -1,7 +1,7 @@
-//! The batched SPST planner fast path: plan the same communication
-//! relation with the exact sequential planner and with
-//! `SpstConfig::batched`, compare wall-clock, modelled cost and how each
-//! demand was resolved, and check the determinism contract.
+//! The SPST planner's reuse tier: plan the same communication relation
+//! with the exact sequential planner and with `SpstConfig::reuse`,
+//! compare wall-clock, modelled cost and how each demand was resolved,
+//! and check the determinism contract.
 //!
 //! ```text
 //! cargo run --release --example batched_planner
@@ -28,25 +28,23 @@ fn main() {
         seq.cost.total_time()
     );
 
-    for threads in [1usize, 4] {
-        let batched = spst_plan_with_config(&pg, &topo, 1024, 42, SpstConfig::batched(threads));
-        validate_plan(&batched.plan, &pg).expect("batched plan invalid");
-        println!(
-            "\nbatched ({threads} threads): {:.4}s ({:.2}x), cost ratio {:.4}",
-            batched.planning_seconds,
-            seq.planning_seconds / batched.planning_seconds.max(1e-9),
-            batched.cost.total_time() / seq.cost.total_time()
-        );
-        print!("{}", render_planner_stats(&batched.stats));
+    let reuse = spst_plan_with_config(&pg, &topo, 1024, 42, SpstConfig::reuse());
+    validate_plan(&reuse.plan, &pg).expect("reuse plan invalid");
+    println!(
+        "\nreuse: {:.4}s ({:.2}x), cost ratio {:.4}",
+        reuse.planning_seconds,
+        seq.planning_seconds / reuse.planning_seconds.max(1e-9),
+        reuse.cost.total_time() / seq.cost.total_time()
+    );
+    print!("{}", render_planner_stats(&reuse.stats));
 
-        // Determinism contract: same (seed, threads, tolerance, batch
-        // size) => bit-identical plan.
-        let again = spst_plan_with_config(&pg, &topo, 1024, 42, SpstConfig::batched(threads));
-        assert_eq!(batched.plan.steps, again.plan.steps, "non-deterministic");
-        assert_eq!(
-            batched.cost.total_time().to_bits(),
-            again.cost.total_time().to_bits()
-        );
-    }
-    println!("\ndeterminism contract held for both configurations");
+    // Determinism contract: same (seed, order, reuse) => bit-identical
+    // plan.
+    let again = spst_plan_with_config(&pg, &topo, 1024, 42, SpstConfig::reuse());
+    assert_eq!(reuse.plan.steps, again.plan.steps, "non-deterministic");
+    assert_eq!(
+        reuse.cost.total_time().to_bits(),
+        again.cost.total_time().to_bits()
+    );
+    println!("\ndeterminism contract held");
 }
