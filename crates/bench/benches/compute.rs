@@ -1,36 +1,15 @@
-//! Criterion bench for the parallel compute engine (the `compute`
-//! experiment's measurement).
-//!
-//! Covers the three hot-path kernel families at explicit worker counts,
-//! so the pool-scaling win and the algorithmic wins (gather-form
-//! backward vs per-vertex scatter, compiled schedules vs the uncompiled
-//! table walk) are visible separately.
+//! Criterion bench for the compute engine (the `compute` experiment's
+//! measurement): the gather-form aggregation backward against the
+//! per-vertex scatter, and compiled allgather schedules against the
+//! uncompiled table walk.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use dgcl::{build_comm_info, BuildOptions};
 use dgcl_bench::RunContext;
-use dgcl_gnn::aggregate::{
-    aggregate_sum_backward_scatter, aggregate_sum_backward_threads, aggregate_sum_threads,
-};
+use dgcl_gnn::aggregate::{aggregate_sum_backward, aggregate_sum_backward_scatter};
 use dgcl_graph::Dataset;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
-
-fn bench_matmul(c: &mut Criterion) {
-    let mut init = XavierInit::new(42);
-    let a = init.features(512, 256);
-    let b = init.features(256, 128);
-    let mut group = c.benchmark_group("matmul");
-    group.sample_size(20);
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("512x256x128", threads),
-            &threads,
-            |bch, &t| bch.iter(|| a.matmul_threads(&b, t)),
-        );
-    }
-    group.finish();
-}
 
 fn bench_aggregate(c: &mut Criterion) {
     let mut ctx = RunContext::new(false);
@@ -41,16 +20,9 @@ fn bench_aggregate(c: &mut Criterion) {
     graph.reversed(); // Exclude the one-off transpose build from timings.
     let mut group = c.benchmark_group("aggregate");
     group.sample_size(20);
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("fwd", threads), &threads, |b, &t| {
-            b.iter(|| aggregate_sum_threads(&graph, &h, nv, t))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("bwd-gather", threads),
-            &threads,
-            |b, &t| b.iter(|| aggregate_sum_backward_threads(&graph, &h, nv, t)),
-        );
-    }
+    group.bench_function("bwd-gather", |b| {
+        b.iter(|| aggregate_sum_backward(&graph, &h, nv))
+    });
     group.bench_function("bwd-scatter", |b| {
         b.iter(|| aggregate_sum_backward_scatter(&graph, &h, nv))
     });
@@ -87,5 +59,5 @@ fn bench_allgather(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_aggregate, bench_allgather);
+criterion_group!(benches, bench_aggregate, bench_allgather);
 criterion_main!(benches);

@@ -1,22 +1,17 @@
 //! Compute-engine benchmark: the training hot path measured directly.
 //!
-//! Three kernel families, each timed sequentially and on the threaded
-//! compute pool at 1/2/4/8 workers:
+//! Two algorithmic wins, each timed against the formulation it
+//! replaced:
 //!
-//! * `matmul` — the cache-blocked threaded dense kernel of
-//!   `dgcl-tensor` (forward projection shape);
-//! * `aggregate` — row-parallel CSR neighbour aggregation plus the
-//!   gather-form (reverse-CSR) backward against the original per-vertex
-//!   scatter;
+//! * `aggregate_bwd` — the gather-form (reverse-CSR) aggregation
+//!   backward against the original per-vertex scatter;
 //! * `allgather` — the compiled-schedule `graph_allgather` /
 //!   `scatter_backward` against the uncompiled table-walking reference.
 //!
-//! All parallel kernels are bitwise-deterministic, so speedups come with
-//! no numeric drift; thread-scaling numbers are only meaningful when the
-//! machine has spare cores (the JSON records `cpus` so CI can tell a
-//! genuine regression from a 1-CPU ceiling). The run also times one
-//! distributed training epoch per dataset and emits everything as
-//! `BENCH_compute.json` in the style of `BENCH_spst.json`.
+//! Every kernel is sequential (the rank threads are the devices), so
+//! there is no thread sweep; the JSON records `cpus` for provenance. The
+//! run also times one distributed training epoch per dataset and emits
+//! everything as `BENCH_compute.json` in the style of `BENCH_spst.json`.
 //!
 //! Set `DGCL_BENCH_SMOKE=1` to shrink problem sizes and repetitions for
 //! CI smoke runs.
@@ -26,9 +21,7 @@ use std::time::Instant;
 
 use dgcl::trainer::{train_distributed, TrainConfig};
 use dgcl::{build_comm_info, BuildOptions};
-use dgcl_gnn::aggregate::{
-    aggregate_sum_backward_scatter, aggregate_sum_backward_threads, aggregate_sum_threads,
-};
+use dgcl_gnn::aggregate::{aggregate_sum_backward, aggregate_sum_backward_scatter};
 use dgcl_gnn::Architecture;
 use dgcl_graph::Dataset;
 use dgcl_tensor::XavierInit;
@@ -36,16 +29,23 @@ use dgcl_topology::Topology;
 
 use crate::harness::{cpus, ms, print_table, RunContext};
 
-/// Thread counts every kernel is measured at.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// One timed kernel configuration.
+/// One timed kernel against its baseline.
 struct KernelRecord {
     kernel: &'static str,
-    threads: usize,
     seconds: f64,
     baseline_seconds: f64,
     speedup: f64,
+}
+
+impl KernelRecord {
+    fn new(kernel: &'static str, seconds: f64, baseline_seconds: f64) -> Self {
+        KernelRecord {
+            kernel,
+            seconds,
+            baseline_seconds,
+            speedup: baseline_seconds / seconds.max(1e-12),
+        }
+    }
 }
 
 /// One timed training epoch.
@@ -75,89 +75,25 @@ fn time<F: FnMut()>(reps: usize, mut body: F) -> f64 {
 pub fn run(ctx: &mut RunContext) {
     let smoke = smoke();
     let reps = if smoke { 3 } else { 7 };
-    let mut records: Vec<KernelRecord> = Vec::new();
-    let mut rows = Vec::new();
-    let push = |records: &mut Vec<KernelRecord>,
-                rows: &mut Vec<Vec<String>>,
-                kernel: &'static str,
-                threads: usize,
-                seconds: f64,
-                baseline: f64| {
-        let speedup = baseline / seconds.max(1e-12);
-        rows.push(vec![
-            kernel.to_string(),
-            threads.to_string(),
-            ms(seconds),
-            format!("{speedup:.2}x"),
-        ]);
-        records.push(KernelRecord {
-            kernel,
-            threads,
-            seconds,
-            baseline_seconds: baseline,
-            speedup,
-        });
-    };
-
-    // Dense matmul, forward-projection shape (visible rows × feature ×
-    // hidden).
-    let (m, k, n) = if smoke {
-        (192, 64, 64)
-    } else {
-        (1024, 256, 128)
-    };
+    // Aggregation backward on a generated power-law graph: reverse-CSR
+    // gather vs the original allocate-per-vertex scatter.
     let mut init = XavierInit::new(ctx.seed);
-    let a = init.features(m, k);
-    let b = init.features(k, n);
-    std::hint::black_box(a.matmul_threads(&b, 1)); // Warm caches/pages.
-    let times: Vec<f64> = THREADS
-        .iter()
-        .map(|&t| {
-            time(reps, || {
-                std::hint::black_box(a.matmul_threads(&b, t));
-            })
-        })
-        .collect();
-    for (&t, &s) in THREADS.iter().zip(&times) {
-        push(&mut records, &mut rows, "matmul", t, s, times[0]);
-    }
-
-    // CSR aggregation forward on a generated power-law graph.
     let graph = ctx.graph(Dataset::WikiTalk);
     let nv = graph.num_vertices();
     let cols = if smoke { 32 } else { 128 };
     let h = init.features(nv, cols);
-    std::hint::black_box(aggregate_sum_threads(&graph, &h, nv, 1)); // Warm-up.
-    let times: Vec<f64> = THREADS
-        .iter()
-        .map(|&t| {
-            time(reps, || {
-                std::hint::black_box(aggregate_sum_threads(&graph, &h, nv, t));
-            })
-        })
-        .collect();
-    for (&t, &s) in THREADS.iter().zip(&times) {
-        push(&mut records, &mut rows, "aggregate_fwd", t, s, times[0]);
-    }
-
-    // Aggregation backward: reverse-CSR gather vs the original
-    // allocate-per-vertex scatter (an algorithmic win independent of the
-    // thread count; the scatter is the baseline at every row).
     graph.reversed(); // Warm the cache so timings exclude the one-off build.
     std::hint::black_box(aggregate_sum_backward_scatter(&graph, &h, nv)); // Warm-up.
     let scatter = time(reps, || {
         std::hint::black_box(aggregate_sum_backward_scatter(&graph, &h, nv));
     });
-    for t in THREADS {
-        let s = time(reps, || {
-            std::hint::black_box(aggregate_sum_backward_threads(&graph, &h, nv, t));
-        });
-        push(&mut records, &mut rows, "aggregate_bwd", t, s, scatter);
-    }
+    let gather = time(reps, || {
+        std::hint::black_box(aggregate_sum_backward(&graph, &h, nv));
+    });
 
     // Graph allgather + backward: compiled schedules vs the table-walking
-    // reference (also thread-count independent — the win is the removal
-    // of per-op filtering, id resolution and heap churn).
+    // reference (the win is the removal of per-op filtering, id
+    // resolution and heap churn).
     let ag_graph = ctx.graph(Dataset::WebGoogle);
     let info = build_comm_info(&ag_graph, Topology::fig6(), BuildOptions::default());
     let feat = init.features(ag_graph.num_vertices(), cols);
@@ -190,7 +126,21 @@ pub fn run(ctx: &mut RunContext) {
         })
         .expect("healthy cluster");
     });
-    push(&mut records, &mut rows, "allgather", 1, compiled, reference);
+    let records = [
+        KernelRecord::new("aggregate_bwd", gather, scatter),
+        KernelRecord::new("allgather", compiled, reference),
+    ];
+    let rows: Vec<Vec<String>> = records
+        .iter()
+        .map(|r| {
+            vec![
+                r.kernel.to_string(),
+                ms(r.seconds),
+                ms(r.baseline_seconds),
+                format!("{:.2}x", r.speedup),
+            ]
+        })
+        .collect();
 
     print_table(
         &format!(
@@ -198,11 +148,11 @@ pub fn run(ctx: &mut RunContext) {
             cpus(),
             if smoke { ", smoke" } else { "" }
         ),
-        &["Kernel", "Threads", "Median (ms)", "Speedup"],
+        &["Kernel", "Median (ms)", "Baseline (ms)", "Speedup"],
         &rows,
     );
     println!(
-        "  (baselines: matmul/aggregate_fwd at 1 thread; aggregate_bwd vs the\n   per-vertex scatter; allgather vs the uncompiled table walk. Thread\n   speedups need spare cores — the JSON records `cpus` so a 1-CPU box\n   documents its ceiling instead of faking scaling.)"
+        "  (baselines: aggregate_bwd vs the per-vertex scatter; allgather vs the\n   uncompiled table walk.)"
     );
 
     // One distributed training epoch per dataset: the end-to-end number
@@ -254,24 +204,13 @@ fn render_json(smoke: bool, records: &[KernelRecord], epochs: &[EpochRecord]) ->
     let _ = writeln!(out, "  \"bench\": \"compute_engine\",");
     let _ = writeln!(out, "  \"cpus\": {cpus},");
     let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"{}\",",
-        if cpus == 1 {
-            "single-cpu machine: thread-scaling speedups are ceiling-limited at ~1x; \
-             aggregate_bwd and allgather speedups are algorithmic and hold regardless"
-        } else {
-            "thread columns measure pool scaling; aggregate_bwd and allgather \
-             speedups are algorithmic"
-        }
-    );
     let _ = writeln!(out, "  \"kernels\": [");
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 == records.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"kernel\": \"{}\", \"threads\": {}, \"seconds\": {:.6}, \"baseline_seconds\": {:.6}, \"speedup\": {:.3}}}{}",
-            r.kernel, r.threads, r.seconds, r.baseline_seconds, r.speedup, comma,
+            "    {{\"kernel\": \"{}\", \"seconds\": {:.6}, \"baseline_seconds\": {:.6}, \"speedup\": {:.3}}}{}",
+            r.kernel, r.seconds, r.baseline_seconds, r.speedup, comma,
         );
     }
     let _ = writeln!(out, "  ],");
@@ -295,13 +234,7 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_enough() {
-        let records = [KernelRecord {
-            kernel: "matmul",
-            threads: 4,
-            seconds: 0.5,
-            baseline_seconds: 1.5,
-            speedup: 3.0,
-        }];
+        let records = [KernelRecord::new("aggregate_bwd", 0.5, 1.5)];
         let epochs = [EpochRecord {
             dataset: "wiki-talk",
             arch: "gcn",
@@ -310,9 +243,10 @@ mod tests {
         let json = render_json(true, &records, &epochs);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"kernel\": \"matmul\""));
+        assert!(json.contains("\"kernel\": \"aggregate_bwd\""));
         assert!(json.contains("\"speedup\": 3.000"));
         assert!(json.contains("\"smoke\": true"));
+        assert!(json.contains("\"cpus\": "));
         assert!(json.contains("\"epoch_seconds\": 0.250000"));
     }
 

@@ -18,7 +18,7 @@
 //! | `fig11` | Figure 11 | send/recv tables are tiny vs training state |
 //! | `table9` | Table 9 | non-atomic backward is faster |
 //! | `ablation` | (extra) | SPST design-choice ablations |
-//! | `compute` | (extra) | hot-path kernels: threaded matmul, parallel CSR aggregation, compiled allgather |
+//! | `compute` | (extra) | hot-path wins: gather-form aggregation backward, compiled allgather |
 //! | `overlap` | (extra) | pipelined chunked collectives vs barriered schedule, simulated |
 //! | `collectives` | (extra) | allreduce algorithm zoo: autotuned choice vs per-size best/worst |
 //! | `cagnet` | (extra) | backend crossover: planned gather vs CAGNET block SpMM, selector verdicts |

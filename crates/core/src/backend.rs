@@ -41,12 +41,12 @@ use dgcl_gnn::aggregate::{
 use dgcl_gnn::AggKind;
 use dgcl_sim::backends::contiguous_split;
 use dgcl_sim::BackendKind;
-use dgcl_tensor::{compute_threads, spmm_csr_dense_into, CsrBlock, Matrix};
+use dgcl_tensor::{spmm_csr_dense_into, CsrBlock, Matrix};
 
 use crate::collectives::{BroadcastAlgo, GroupSpec};
 use crate::error::RuntimeError;
 use crate::fabric::{expect_payload, MsgKey};
-use crate::runtime::{DeviceHandle, ExecStrategy};
+use crate::runtime::DeviceHandle;
 
 /// How [`build_comm_info`](crate::comm_info::build_comm_info) picks the
 /// aggregation backend.
@@ -136,11 +136,10 @@ pub trait CommBackend {
     }
 }
 
-/// The backend matching `kind`, with planned paths driven by
-/// `strategy`.
-pub fn backend_for(kind: BackendKind, strategy: ExecStrategy) -> Box<dyn CommBackend> {
+/// The backend matching `kind`.
+pub fn backend_for(kind: BackendKind) -> Box<dyn CommBackend> {
     match kind {
-        BackendKind::Planned => Box::new(PlannedBackend { strategy }),
+        BackendKind::Planned => Box::new(PlannedBackend),
         BackendKind::Cagnet { replication } => Box::new(CagnetBackend { replication }),
     }
 }
@@ -148,10 +147,7 @@ pub fn backend_for(kind: BackendKind, strategy: ExecStrategy) -> Box<dyn CommBac
 /// The SPST-planned backend: allgather the vertex-cut halo, aggregate
 /// locally, scatter gradients back along the reversed plan.
 #[derive(Debug, Clone, Copy)]
-pub struct PlannedBackend {
-    /// Which gather/scatter executor to run.
-    pub strategy: ExecStrategy,
-}
+pub struct PlannedBackend;
 
 impl CommBackend for PlannedBackend {
     fn name(&self) -> &'static str {
@@ -165,7 +161,7 @@ impl CommBackend for PlannedBackend {
         kind: AggKind,
     ) -> Result<Matrix, RuntimeError> {
         let lg = dev.local_graph();
-        let full = dev.graph_allgather_with(self.strategy, h_local)?;
+        let full = dev.graph_allgather(h_local)?;
         Ok(match kind {
             AggKind::Sum => aggregate_sum(&lg.graph, &full, lg.num_local),
             AggKind::Mean => aggregate_mean(&lg.graph, &full, lg.num_local),
@@ -183,7 +179,7 @@ impl CommBackend for PlannedBackend {
             AggKind::Sum => aggregate_sum_backward(&lg.graph, grad_agg, lg.num_total()),
             AggKind::Mean => aggregate_mean_backward(&lg.graph, grad_agg, lg.num_total()),
         };
-        dev.scatter_backward_with(self.strategy, &grad_full)
+        dev.scatter_backward(&grad_full)
     }
 }
 
@@ -297,7 +293,6 @@ fn cagnet_exchange(
     let num_local = len(rank);
     let cols = input.cols();
     assert_eq!(input.rows(), num_local, "expected owned rows only");
-    let threads = compute_threads();
     if p == 1 {
         let mut out = Matrix::zeros(num_local, cols);
         spmm_csr_dense_into(
@@ -305,7 +300,6 @@ fn cagnet_exchange(
             input.as_slice(),
             cols,
             out.as_mut_slice(),
-            threads,
         );
         return Ok(out);
     }
@@ -328,7 +322,6 @@ fn cagnet_exchange(
                 buf.as_slice(),
                 cols,
                 out.as_mut_slice(),
-                threads,
             );
         }
         return Ok(out);
@@ -402,7 +395,6 @@ fn cagnet_exchange(
                     &fat_h.as_slice()[hoff * cols..(hoff + tt_rows) * cols],
                     cols,
                     &mut z.as_mut_slice()[zoff * cols..(zoff + m_rows) * cols],
-                    threads,
                 );
                 hoff += tt_rows;
             }

@@ -780,12 +780,12 @@ where
     let fabric = Arc::new(Fabric::with_config(info.num_devices(), config));
     let mut outcomes: Vec<Option<Result<R, ClusterFailure>>> =
         (0..info.num_devices()).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut joins = Vec::new();
         for rank in 0..info.num_devices() {
             let fabric = fabric.clone();
             let body = &body;
-            joins.push(scope.spawn(move |_| {
+            joins.push(scope.spawn(move || {
                 let handle = DeviceHandle {
                     rank,
                     info,
@@ -823,8 +823,7 @@ where
             let (rank, outcome) = join.join().expect("device wrapper cannot panic");
             outcomes[rank] = Some(outcome);
         }
-    })
-    .expect("cluster scope");
+    });
     let outcomes: Vec<Result<R, ClusterFailure>> = outcomes
         .into_iter()
         .map(|o| o.expect("all ranks ran"))

@@ -35,7 +35,7 @@ use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, RuntimeError};
 use crate::fabric::FabricConfig;
 use crate::featcache::{CachePolicy, CacheStatsSnapshot, ClusterCache, HaloGatherCtx};
-use crate::runtime::{run_cluster_with, DeviceHandle, ExecStrategy};
+use crate::runtime::{run_cluster_with, DeviceHandle};
 use crate::sampling::SamplingConfig;
 
 /// Training hyper-parameters.
@@ -51,12 +51,6 @@ pub struct TrainConfig {
     pub lr: f32,
     /// Seed for weight initialisation (shared by all replicas).
     pub weight_seed: u64,
-    /// Allreduce algorithm override for the gradient buckets. `None`
-    /// (the default) lets the cost-model autotuner pick per bucket
-    /// size; `Some(algo)` forces one algorithm. Every algorithm is
-    /// bitwise identical to the rendezvous reference, so this only
-    /// changes wall-clock, never numerics.
-    pub allreduce: Option<AllreduceAlgo>,
     /// Aggregation backend override. `None` (the default) runs whatever
     /// [`CommInfo::backend`] recorded — the build policy's verdict;
     /// `Some(kind)` forces a backend for this run (parity tests compare
@@ -81,6 +75,8 @@ pub struct TrainConfig {
 impl TrainConfig {
     /// A config with learning rate `1e-3` and a fixed weight seed,
     /// training full-batch on the build-time backend and cache policy.
+    /// The gradient allreduce algorithm is the fabric configuration's
+    /// choice, not the config's.
     pub fn new(arch: Architecture, dims: &[usize], epochs: usize) -> Self {
         Self {
             arch,
@@ -88,7 +84,6 @@ impl TrainConfig {
             epochs,
             lr: 1e-3,
             weight_seed: 17,
-            allreduce: None,
             backend: None,
             sampling: None,
             feature_cache: None,
@@ -162,11 +157,9 @@ pub fn train_distributed(
 /// chaos suite uses this to inject [`crate::fault::FaultPlan`]s and to
 /// shrink the collective deadline.
 ///
-/// The gradient allreduce algorithm resolves in this order:
-/// `cfg.allreduce` (explicit override) beats a non-default
-/// `fabric_config.allreduce` policy, which beats the default — an
-/// [`AlgorithmSelector`] tuned offline for `info`'s topology and
-/// device count.
+/// A non-default `fabric_config.allreduce` policy runs as given; the
+/// default is replaced by an [`AlgorithmSelector`] tuned offline for
+/// `info`'s topology and device count.
 ///
 /// # Errors
 ///
@@ -254,6 +247,10 @@ impl RunCtx<'_> {
 /// `checkpoints` makes rank 0 publish an in-memory snapshot after every
 /// completed epoch, plus a serialized one on the configured cadence.
 ///
+/// The gradient allreduce runs `fabric_config.allreduce`; the default
+/// policy is replaced by the offline autotuner, as in
+/// [`train_distributed_with`].
+///
 /// # Errors
 ///
 /// [`ClusterError`] if any device fails; no failure mode hangs.
@@ -274,22 +271,17 @@ pub fn train_distributed_resumable(
     resume: Option<&Checkpoint>,
     checkpoints: Option<&CheckpointConfig>,
 ) -> Result<TrainReport, ClusterError> {
-    match cfg.allreduce {
-        Some(algo) => fabric_config.allreduce = AllreducePolicy::Fixed(algo),
-        // Autotune only over the default policy; an explicit caller
-        // policy (chaos tests pinning an algorithm) stands.
-        None => {
-            if matches!(
-                fabric_config.allreduce,
-                AllreducePolicy::Fixed(AllreduceAlgo::Rendezvous)
-            ) {
-                fabric_config.allreduce = AllreducePolicy::Auto(AlgorithmSelector::tune(
-                    &info.topology,
-                    info.num_devices(),
-                    4 * fabric_config.collective_chunk as u64,
-                ));
-            }
-        }
+    // Autotune only over the default policy; an explicit caller policy
+    // (chaos tests pinning an algorithm) stands.
+    if matches!(
+        fabric_config.allreduce,
+        AllreducePolicy::Fixed(AllreduceAlgo::Rendezvous)
+    ) {
+        fabric_config.allreduce = AllreducePolicy::Auto(AlgorithmSelector::tune(
+            &info.topology,
+            info.num_devices(),
+            4 * fabric_config.collective_chunk as u64,
+        ));
     }
     assert_eq!(features.rows(), graph.num_vertices(), "feature rows");
     assert_eq!(targets.rows(), graph.num_vertices(), "target rows");
@@ -348,7 +340,7 @@ pub fn train_distributed_resumable(
             .filter(|_| backend_kind == BackendKind::Planned),
     };
     let results = run_cluster_with(info, fabric_config, |handle| {
-        let backend = backend_for(backend_kind, ExecStrategy::Pipelined);
+        let backend = backend_for(backend_kind);
         match &cfg.sampling {
             Some(scfg) if !scfg.is_exact() => {
                 crate::sampling::device_body_blocks(&handle, &run, backend.as_ref(), scfg)

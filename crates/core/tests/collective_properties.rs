@@ -7,16 +7,13 @@
 //! which exercise the uneven Bruck rounds), at every chunk size from
 //! per-element streaming to one-chunk-per-payload. Broadcast must
 //! deliver the root's matrix bit-for-bit under all three tree shapes.
-//! None of it may depend on the tensor pool's compute-thread count or
-//! on run-to-run scheduling.
-
-use std::sync::Mutex;
+//! None of it may depend on run-to-run scheduling.
 
 use dgcl::{
     build_comm_info, run_cluster_with, AllreduceAlgo, BroadcastAlgo, BuildOptions, FabricConfig,
 };
 use dgcl_graph::Dataset;
-use dgcl_tensor::{pool, Matrix, XavierInit};
+use dgcl_tensor::{Matrix, XavierInit};
 use dgcl_topology::Topology;
 use proptest::prelude::*;
 
@@ -198,26 +195,15 @@ fn broadcast_delivers_the_root_matrix_bitwise() {
     }
 }
 
-/// Collective results must not depend on the tensor pool's
-/// compute-thread count, nor on run-to-run thread scheduling.
+/// Collective results must not depend on run-to-run thread scheduling.
 #[test]
-fn results_are_invariant_to_compute_threads_and_reruns() {
-    // set_compute_threads is process-global; serialise against any
-    // future test that also touches it.
-    static THREADS: Mutex<()> = Mutex::new(());
-    let _guard = THREADS.lock().unwrap();
+fn results_are_invariant_to_reruns() {
     let info = comm_info(5);
-    let before = pool::compute_threads();
-    let mut runs = Vec::new();
-    for threads in [1usize, 4, 4] {
-        pool::set_compute_threads(threads);
-        runs.push(run_triple(&info, 16, test_mats));
-    }
-    pool::set_compute_threads(before);
+    let runs: Vec<_> = (0..3).map(|_| run_triple(&info, 16, test_mats)).collect();
     for run in &runs[1..] {
         assert_eq!(run.len(), runs[0].len(), "same device count across reruns");
         for (rank, (a, b)) in runs[0].iter().zip(run).enumerate() {
-            assert_eq!(a, b, "rank {rank} diverged across thread counts / reruns");
+            assert_eq!(a, b, "rank {rank} diverged across reruns");
         }
     }
 }

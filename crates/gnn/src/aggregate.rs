@@ -1,176 +1,99 @@
 //! Neighbour aggregation kernels on CSR graphs.
 //!
-//! Forward aggregation is row-partitioned over the compute worker pool
-//! (`dgcl_tensor::pool`): output rows are disjoint, so chunks run on any
-//! thread count with bitwise-identical results. The backward passes run
-//! in *gather* form over the cached edge-reversed CSR
-//! ([`CsrGraph::reversed`]): `grad_h[u] = Σ_{v : u ∈ N(v)} grad_out[v]`
-//! writes each output row exactly once — no atomics, no per-vertex
+//! Every kernel is sequential: it runs on the calling thread, which in
+//! distributed training is one rank — one simulated device. The
+//! backward passes run in *gather* form over the cached edge-reversed
+//! CSR ([`CsrGraph::reversed`]): `grad_h[u] = Σ_{v : u ∈ N(v)}
+//! grad_out[v]` writes each output row exactly once — no per-vertex
 //! scratch allocation — and, because reversed adjacency lists are sorted
 //! ascending, accumulates each element in the same order as the scatter
 //! formulation, so the two agree bitwise (property-tested).
 
 use dgcl_graph::CsrGraph;
-use dgcl_tensor::{pool, Matrix};
-
-/// Minimum `edges * cols` work before the forward kernels spawn workers.
-const PAR_WORK_MIN: usize = 1 << 15;
-
-fn par_threads(adj: &CsrGraph, cols: usize) -> usize {
-    if adj.num_edges() * cols.max(1) < PAR_WORK_MIN {
-        1
-    } else {
-        pool::compute_threads()
-    }
-}
+use dgcl_tensor::Matrix;
 
 /// Sum-aggregates neighbour embeddings: `out[v] = Σ_{u ∈ N(v)} h[u]` for
-/// the first `num_out` vertices, on the global worker count.
+/// the first `num_out` vertices.
 ///
 /// # Panics
 ///
 /// Panics if `num_out` exceeds the adjacency's vertex count or a
 /// neighbour id exceeds `h`'s rows.
 pub fn aggregate_sum(adj: &CsrGraph, h: &Matrix, num_out: usize) -> Matrix {
-    aggregate_sum_threads(adj, h, num_out, par_threads(adj, h.cols()))
-}
-
-/// [`aggregate_sum`] with an explicit worker count. Results are bitwise
-/// identical for every `threads` value.
-///
-/// # Panics
-///
-/// See [`aggregate_sum`].
-pub fn aggregate_sum_threads(adj: &CsrGraph, h: &Matrix, num_out: usize, threads: usize) -> Matrix {
     assert!(
         num_out <= adj.num_vertices(),
         "num_out {} exceeds {} vertices",
         num_out,
         adj.num_vertices()
     );
-    let cols = h.cols();
-    let mut out = Matrix::zeros(num_out, cols);
-    pool::par_row_chunks(threads, out.as_mut_slice(), cols.max(1), |v0, chunk| {
-        for (i, row) in chunk.chunks_mut(cols).enumerate() {
-            for &u in adj.neighbors((v0 + i) as u32) {
-                for (o, &x) in row.iter_mut().zip(h.row(u as usize)) {
-                    *o += x;
-                }
+    let mut out = Matrix::zeros(num_out, h.cols());
+    for v in 0..num_out {
+        let row = out.row_mut(v);
+        for &u in adj.neighbors(v as u32) {
+            for (o, &x) in row.iter_mut().zip(h.row(u as usize)) {
+                *o += x;
             }
         }
-    });
+    }
     out
 }
 
 /// Mean-aggregates neighbour embeddings; vertices without neighbours get
 /// zeros.
 pub fn aggregate_mean(adj: &CsrGraph, h: &Matrix, num_out: usize) -> Matrix {
-    aggregate_mean_threads(adj, h, num_out, par_threads(adj, h.cols()))
-}
-
-/// [`aggregate_mean`] with an explicit worker count.
-pub fn aggregate_mean_threads(
-    adj: &CsrGraph,
-    h: &Matrix,
-    num_out: usize,
-    threads: usize,
-) -> Matrix {
-    let cols = h.cols();
-    let mut out = aggregate_sum_threads(adj, h, num_out, threads);
-    pool::par_row_chunks(threads, out.as_mut_slice(), cols.max(1), |v0, chunk| {
-        for (i, row) in chunk.chunks_mut(cols).enumerate() {
-            let deg = adj.out_degree((v0 + i) as u32);
-            if deg > 1 {
-                let inv = 1.0 / deg as f32;
-                for o in row {
-                    *o *= inv;
-                }
+    let mut out = aggregate_sum(adj, h, num_out);
+    for v in 0..num_out {
+        let deg = adj.out_degree(v as u32);
+        if deg > 1 {
+            let inv = 1.0 / deg as f32;
+            for o in out.row_mut(v) {
+                *o *= inv;
             }
         }
-    });
+    }
     out
 }
 
 /// Backward of [`aggregate_sum`] in gather form over the cached reversed
 /// CSR: produces gradients for all `num_total` visible rows without
-/// atomics or per-vertex allocation. Bitwise-identical to
+/// per-vertex allocation. Bitwise-identical to
 /// [`aggregate_sum_backward_scatter`].
 pub fn aggregate_sum_backward(adj: &CsrGraph, grad_out: &Matrix, num_total: usize) -> Matrix {
-    aggregate_sum_backward_threads(adj, grad_out, num_total, par_threads(adj, grad_out.cols()))
-}
-
-/// [`aggregate_sum_backward`] with an explicit worker count.
-pub fn aggregate_sum_backward_threads(
-    adj: &CsrGraph,
-    grad_out: &Matrix,
-    num_total: usize,
-    threads: usize,
-) -> Matrix {
-    let rev = adj.reversed();
-    let nv = rev.num_vertices();
-    let sources = grad_out.rows() as u32;
-    let cols = grad_out.cols();
-    let mut grad_h = Matrix::zeros(num_total, cols);
-    pool::par_row_chunks(threads, grad_h.as_mut_slice(), cols.max(1), |u0, chunk| {
-        for (i, row) in chunk.chunks_mut(cols).enumerate() {
-            let u = u0 + i;
-            if u >= nv {
-                continue;
-            }
-            // Reversed lists are sorted ascending, so the sources beyond
-            // the gradient rows form a suffix.
-            for &v in rev.neighbors(u as u32) {
-                if v >= sources {
-                    break;
-                }
-                for (o, &x) in row.iter_mut().zip(grad_out.row(v as usize)) {
-                    *o += x;
-                }
-            }
-        }
-    });
-    grad_h
+    gather_backward(adj, grad_out, num_total, |_| 1.0)
 }
 
 /// Backward of [`aggregate_mean`], gather form (see
 /// [`aggregate_sum_backward`]).
 pub fn aggregate_mean_backward(adj: &CsrGraph, grad_out: &Matrix, num_total: usize) -> Matrix {
-    aggregate_mean_backward_threads(adj, grad_out, num_total, par_threads(adj, grad_out.cols()))
+    gather_backward(adj, grad_out, num_total, |v| 1.0 / adj.out_degree(v) as f32)
 }
 
-/// [`aggregate_mean_backward`] with an explicit worker count.
-pub fn aggregate_mean_backward_threads(
+/// `grad_h[u] = Σ weight(v) · grad_out[v]` over the sources `v` whose
+/// adjacency lists hold `u`, ascending. Every such `v` has out-degree at
+/// least one.
+fn gather_backward(
     adj: &CsrGraph,
     grad_out: &Matrix,
     num_total: usize,
-    threads: usize,
+    weight: impl Fn(u32) -> f32,
 ) -> Matrix {
     let rev = adj.reversed();
-    let nv = rev.num_vertices();
     let sources = grad_out.rows() as u32;
-    let cols = grad_out.cols();
-    let mut grad_h = Matrix::zeros(num_total, cols);
-    pool::par_row_chunks(threads, grad_h.as_mut_slice(), cols.max(1), |u0, chunk| {
-        for (i, row) in chunk.chunks_mut(cols).enumerate() {
-            let u = u0 + i;
-            if u >= nv {
-                continue;
+    let mut grad_h = Matrix::zeros(num_total, grad_out.cols());
+    for u in 0..num_total.min(rev.num_vertices()) {
+        let row = grad_h.row_mut(u);
+        // Reversed lists are sorted ascending, so the sources beyond the
+        // gradient rows form a suffix.
+        for &v in rev.neighbors(u as u32) {
+            if v >= sources {
+                break;
             }
-            for &v in rev.neighbors(u as u32) {
-                if v >= sources {
-                    break;
-                }
-                let deg = adj.out_degree(v);
-                if deg == 0 {
-                    continue;
-                }
-                let inv = 1.0 / deg as f32;
-                for (o, &x) in row.iter_mut().zip(grad_out.row(v as usize)) {
-                    *o += x * inv;
-                }
+            let w = weight(v);
+            for (o, &x) in row.iter_mut().zip(grad_out.row(v as usize)) {
+                *o += x * w;
             }
         }
-    });
+    }
     grad_h
 }
 

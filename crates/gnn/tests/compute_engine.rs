@@ -1,5 +1,5 @@
-//! Property tests for the parallel aggregation kernels: thread-count
-//! invariance and scatter/gather backward equivalence, all bitwise.
+//! Property tests for the aggregation backward kernels: the gather form
+//! against the scatter form, bitwise.
 //!
 //! The gather-form backward walks the cached edge-reversed CSR; because
 //! reversed adjacency lists are sorted ascending, it accumulates each
@@ -8,14 +8,12 @@
 //! just within a tolerance.
 
 use dgcl_gnn::aggregate::{
-    aggregate_mean_backward_scatter, aggregate_mean_backward_threads, aggregate_mean_threads,
-    aggregate_sum_backward_scatter, aggregate_sum_backward_threads, aggregate_sum_threads,
+    aggregate_mean_backward, aggregate_mean_backward_scatter, aggregate_sum_backward,
+    aggregate_sum_backward_scatter,
 };
 use dgcl_graph::{CsrGraph, GraphBuilder};
 use dgcl_tensor::Matrix;
 use proptest::prelude::*;
-
-const THREADS: [usize; 5] = [1, 2, 3, 4, 8];
 
 /// A random directed graph on `n` vertices plus matching features: edge
 /// list drawn as (src, dst) pairs, self-loops dropped by the builder.
@@ -55,26 +53,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn forward_aggregation_is_thread_count_invariant(
-        (g, h, _) in arb_graph_and_features()
-    ) {
-        let n = g.num_vertices();
-        let sum_ref = aggregate_sum_threads(&g, &h, n, 1);
-        let mean_ref = aggregate_mean_threads(&g, &h, n, 1);
-        for t in THREADS {
-            prop_assert_eq!(&aggregate_sum_threads(&g, &h, n, t), &sum_ref, "sum t={}", t);
-            prop_assert_eq!(&aggregate_mean_threads(&g, &h, n, t), &mean_ref, "mean t={}", t);
-        }
-        // Partial output rows (the distributed layout aggregates only
-        // the locally-owned prefix) stay invariant too.
-        let partial = n / 2;
-        let p_ref = aggregate_sum_threads(&g, &h, partial, 1);
-        for t in THREADS {
-            prop_assert_eq!(&aggregate_sum_threads(&g, &h, partial, t), &p_ref, "partial t={}", t);
-        }
-    }
-
-    #[test]
     fn gather_backward_matches_scatter_bitwise(
         (g, grad, _) in arb_graph_and_features()
     ) {
@@ -82,20 +60,16 @@ proptest! {
         // num_total >= grad rows: the distributed backward produces
         // gradients for all visible rows, including never-referenced ones.
         for num_total in [n, n + 3] {
-            let sum_ref = aggregate_sum_backward_scatter(&g, &grad, num_total);
-            let mean_ref = aggregate_mean_backward_scatter(&g, &grad, num_total);
-            for t in THREADS {
-                prop_assert_eq!(
-                    &aggregate_sum_backward_threads(&g, &grad, num_total, t),
-                    &sum_ref,
-                    "sum bwd t={} total={}", t, num_total
-                );
-                prop_assert_eq!(
-                    &aggregate_mean_backward_threads(&g, &grad, num_total, t),
-                    &mean_ref,
-                    "mean bwd t={} total={}", t, num_total
-                );
-            }
+            prop_assert_eq!(
+                &aggregate_sum_backward(&g, &grad, num_total),
+                &aggregate_sum_backward_scatter(&g, &grad, num_total),
+                "sum bwd total={}", num_total
+            );
+            prop_assert_eq!(
+                &aggregate_mean_backward(&g, &grad, num_total),
+                &aggregate_mean_backward_scatter(&g, &grad, num_total),
+                "mean bwd total={}", num_total
+            );
         }
     }
 
@@ -109,13 +83,13 @@ proptest! {
         let n = g.num_vertices();
         let rows = (n / 2).max(1);
         let head = grad.head_rows(rows);
-        let reference = aggregate_sum_backward_scatter(&g, &head, n);
-        for t in THREADS {
-            prop_assert_eq!(
-                &aggregate_sum_backward_threads(&g, &head, n, t),
-                &reference,
-                "truncated t={}", t
-            );
-        }
+        prop_assert_eq!(
+            &aggregate_sum_backward(&g, &head, n),
+            &aggregate_sum_backward_scatter(&g, &head, n)
+        );
+        prop_assert_eq!(
+            &aggregate_mean_backward(&g, &head, n),
+            &aggregate_mean_backward_scatter(&g, &head, n)
+        );
     }
 }

@@ -6,6 +6,10 @@
 //! by the GNN layers in `dgcl-gnn`, written so that distributed training can
 //! be checked for numerical parity against single-device training.
 //!
+//! Every kernel is sequential and runs on the calling thread. In
+//! distributed training each rank thread stands for one GPU, so the
+//! rank threads are the parallelism; a kernel never spawns threads.
+//!
 //! # Examples
 //!
 //! ```
@@ -20,12 +24,16 @@ mod activation;
 mod init;
 mod matrix;
 mod ops;
-pub mod pool;
 mod reduce;
 pub mod spmm;
 
 pub use activation::Activation;
 pub use init::XavierInit;
 pub use matrix::Matrix;
-pub use pool::{compute_threads, set_compute_threads};
 pub use spmm::{spmm_csr_dense_into, CsrBlock};
+
+/// Threads a kernel call uses: always `1`, since every kernel runs on
+/// the calling thread. Kept for the benchmark's run-context line.
+pub fn compute_threads() -> usize {
+    1
+}

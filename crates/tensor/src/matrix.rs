@@ -231,24 +231,21 @@ impl Matrix {
         (left, right)
     }
 
-    /// The transpose of the matrix, on the global worker count
-    /// ([`crate::pool::compute_threads`]).
+    /// The transpose of the matrix.
     pub fn transpose(&self) -> Matrix {
-        self.transpose_threads(crate::pool::compute_threads())
-    }
-
-    /// [`Matrix::transpose`] with an explicit worker count. A pure
-    /// permutation: results are identical for every `threads` value.
-    pub fn transpose_threads(&self, threads: usize) -> Matrix {
-        // Blocked: each output chunk (a band of source columns) walks the
+        // Blocked: each band of 16 output rows (source columns) walks the
         // source rows in 64-row tiles so the strided reads of one tile
         // share cache lines before they are evicted.
+        const BAND_ROWS: usize = 16;
         const TILE_ROWS: usize = 64;
         let (rows, cols) = (self.rows, self.cols);
         let mut out = Matrix::zeros(cols, rows);
-        let threads = if rows * cols < 1 << 15 { 1 } else { threads };
+        if rows == 0 {
+            return out;
+        }
         let src = &self.data;
-        crate::pool::par_row_chunks(threads, &mut out.data, rows.max(1), |c0, chunk| {
+        for (band, chunk) in out.data.chunks_mut(BAND_ROWS * rows).enumerate() {
+            let c0 = band * BAND_ROWS;
             for rb in (0..rows).step_by(TILE_ROWS) {
                 let rend = (rb + TILE_ROWS).min(rows);
                 for (i, out_row) in chunk.chunks_mut(rows).enumerate() {
@@ -258,7 +255,7 @@ impl Matrix {
                     }
                 }
             }
-        });
+        }
         out
     }
 

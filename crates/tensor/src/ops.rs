@@ -1,42 +1,29 @@
 //! Linear-algebra kernels on [`Matrix`].
 //!
-//! The three matmul variants are cache-blocked and run on the compute
-//! worker pool ([`crate::pool`]): output rows are split into fixed
-//! chunks processed by scoped workers. Per output element the reduction
-//! over the shared dimension always runs in ascending index order, so
-//! results are bitwise identical at every thread count *and* to the
-//! original unblocked sequential kernels.
+//! The three matmul variants are sequential and cache-blocked: they run
+//! on the calling thread, which in distributed training is one rank —
+//! one simulated device. Per output element the reduction over the
+//! shared dimension always runs in ascending index order, so the blocked
+//! kernels are bitwise identical to the naive unblocked loops
+//! (property-tested in `tests/tensor_properties.rs`).
 
-use crate::pool;
 use crate::Matrix;
 
 /// Cache block over the shared (reduction) dimension: a `BLOCK_K x cols`
-/// window of the streamed operand stays hot across the rows of a chunk.
+/// window of the streamed operand stays hot across the rows of a band.
 const BLOCK_K: usize = 128;
 
-/// Minimum multiply-add count before a kernel spawns workers; below this
-/// the spawn overhead dominates. Gating only changes scheduling, never
-/// results.
-const PAR_FLOPS_MIN: usize = 1 << 16;
+/// Output rows per band: a band's output rows stay in L1 while each
+/// `BLOCK_K` window of the streamed operand passes over them.
+const ROW_BLOCK: usize = 16;
 
 impl Matrix {
-    /// Matrix product `self * rhs`, on the global worker count
-    /// ([`pool::compute_threads`]).
+    /// Matrix product `self * rhs`.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_threads(rhs, pool::compute_threads())
-    }
-
-    /// [`Matrix::matmul`] with an explicit worker count. Results are
-    /// bitwise identical for every `threads` value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn matmul_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
         assert_eq!(
             self.cols(),
             rhs.rows(),
@@ -47,16 +34,15 @@ impl Matrix {
         let (m, k) = self.shape();
         let n = rhs.cols();
         let mut out = Matrix::zeros(m, n);
-        let threads = if m * k * n < PAR_FLOPS_MIN {
-            1
-        } else {
-            threads
-        };
+        if n == 0 {
+            return out;
+        }
         let lhs = self.as_slice();
         let rhs_data = rhs.as_slice();
-        pool::par_row_chunks(threads, out.as_mut_slice(), n.max(1), |row0, chunk| {
+        for (band, chunk) in out.as_mut_slice().chunks_mut(ROW_BLOCK * n).enumerate() {
+            let row0 = band * ROW_BLOCK;
             // Blocked i-k-j: for each k block, stream the block's rhs rows
-            // over every row of the chunk. Per output element the adds run
+            // over every row of the band. Per output element the adds run
             // in ascending k order (blocks ascending, k within a block
             // ascending) — the unblocked kernel's exact order.
             for kb in (0..k).step_by(BLOCK_K) {
@@ -74,27 +60,16 @@ impl Matrix {
                     }
                 }
             }
-        });
+        }
         out
     }
 
-    /// `self^T * rhs` without materialising the transpose, on the global
-    /// worker count.
+    /// `self^T * rhs` without materialising the transpose.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != rhs.rows()`.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_tn_threads(rhs, pool::compute_threads())
-    }
-
-    /// [`Matrix::matmul_tn`] with an explicit worker count. Results are
-    /// bitwise identical for every `threads` value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != rhs.rows()`.
-    pub fn matmul_tn_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
         assert_eq!(
             self.rows(),
             rhs.rows(),
@@ -106,17 +81,16 @@ impl Matrix {
         let m = self.cols();
         let n = rhs.cols();
         let mut out = Matrix::zeros(m, n);
-        let threads = if rows * m * n < PAR_FLOPS_MIN {
-            1
-        } else {
-            threads
-        };
+        if n == 0 {
+            return out;
+        }
         let lhs = self.as_slice();
         let rhs_data = rhs.as_slice();
-        pool::par_row_chunks(threads, out.as_mut_slice(), n.max(1), |row0, chunk| {
+        for (band, chunk) in out.as_mut_slice().chunks_mut(ROW_BLOCK * n).enumerate() {
+            let row0 = band * ROW_BLOCK;
             // Output row i is the reduction over p of lhs[p][i] * rhs[p].
             // Blocking over p keeps a BLOCK_K x n window of rhs hot across
-            // the chunk's rows; per element the adds stay in ascending p
+            // the band's rows; per element the adds stay in ascending p
             // order — the sequential p-i-j kernel's exact order.
             for pb in (0..rows).step_by(BLOCK_K) {
                 let pend = (pb + BLOCK_K).min(rows);
@@ -134,27 +108,16 @@ impl Matrix {
                     }
                 }
             }
-        });
+        }
         out
     }
 
-    /// `self * rhs^T` without materialising the transpose, on the global
-    /// worker count.
+    /// `self * rhs^T` without materialising the transpose.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.cols()`.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_nt_threads(rhs, pool::compute_threads())
-    }
-
-    /// [`Matrix::matmul_nt`] with an explicit worker count. Results are
-    /// bitwise identical for every `threads` value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.cols()`.
-    pub fn matmul_nt_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
         assert_eq!(
             self.cols(),
             rhs.cols(),
@@ -166,26 +129,22 @@ impl Matrix {
         let k = self.cols();
         let n = rhs.rows();
         let mut out = Matrix::zeros(m, n);
-        let threads = if m * k * n < PAR_FLOPS_MIN {
-            1
-        } else {
-            threads
-        };
+        if n == 0 {
+            return out;
+        }
         let lhs = self.as_slice();
         let rhs_data = rhs.as_slice();
-        pool::par_row_chunks(threads, out.as_mut_slice(), n.max(1), |row0, chunk| {
-            for (i, out_row) in chunk.chunks_mut(n).enumerate() {
-                let a_row = &lhs[(row0 + i) * k..(row0 + i + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &rhs_data[j * k..(j + 1) * k];
-                    let mut acc = 0.0;
-                    for (&a, &b) in a_row.iter().zip(b_row) {
-                        acc += a * b;
-                    }
-                    *o = acc;
+        for (i, out_row) in out.as_mut_slice().chunks_mut(n).enumerate() {
+            let a_row = &lhs[i * k..(i + 1) * k];
+            for (j, o) in out_row.iter_mut().enumerate() {
+                let b_row = &rhs_data[j * k..(j + 1) * k];
+                let mut acc = 0.0;
+                for (&a, &b) in a_row.iter().zip(b_row) {
+                    acc += a * b;
                 }
+                *o = acc;
             }
-        });
+        }
         out
     }
 

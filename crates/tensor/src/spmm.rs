@@ -5,7 +5,7 @@
 //! Graph Neural Network Training*) drive GNN aggregation as a sequence of
 //! broadcasts interleaved with local SpMM over block-partitioned
 //! adjacency. This module supplies the block type ([`CsrBlock`]) and the
-//! threaded accumulate kernel ([`spmm_csr_dense_into`]).
+//! sequential accumulate kernel ([`spmm_csr_dense_into`]).
 //!
 //! Blocks are *pattern-only*: GNN adjacency is unweighted, so every
 //! stored entry has the implicit value `1.0` and a multiply is a plain
@@ -14,14 +14,10 @@
 //!
 //! # Determinism contract
 //!
-//! The kernel accumulates each output row sequentially, in stored column
-//! order, split over threads with [`pool::par_row_chunks`] — so results
-//! are bitwise identical at every thread count, and bitwise identical to
-//! a single-device fold *if* the caller presents blocks whose columns
-//! appear in ascending global order and accumulates blocks in ascending
-//! global column-range order.
-
-use crate::pool;
+//! The kernel accumulates each output row in stored column order, so
+//! results are bitwise identical to a single-device fold *if* the caller
+//! presents blocks whose columns appear in ascending global order and
+//! accumulates blocks in ascending global column-range order.
 
 /// A pattern-only CSR block: `rows × cols`, entries implicitly `1.0`.
 ///
@@ -111,7 +107,7 @@ impl CsrBlock {
     }
 }
 
-/// `out += block · dense`, threaded and bitwise-deterministic.
+/// `out += block · dense`, bitwise-deterministic.
 ///
 /// `dense` is row-major `block.cols() × cols`; `out` is row-major
 /// `block.rows() × cols`. Each output row `r` accumulates the dense rows
@@ -121,13 +117,7 @@ impl CsrBlock {
 /// # Panics
 ///
 /// Panics if the buffer shapes do not match the block.
-pub fn spmm_csr_dense_into(
-    block: &CsrBlock,
-    dense: &[f32],
-    cols: usize,
-    out: &mut [f32],
-    threads: usize,
-) {
+pub fn spmm_csr_dense_into(block: &CsrBlock, dense: &[f32], cols: usize, out: &mut [f32]) {
     assert_eq!(
         dense.len(),
         block.cols() * cols,
@@ -142,31 +132,18 @@ pub fn spmm_csr_dense_into(
         out.len(),
         block.rows(),
     );
-    if cols == 0 || block.rows() == 0 {
+    if cols == 0 {
         return;
     }
-    // Same parallelism threshold shape as the aggregation kernels: tiny
-    // blocks are not worth a scoped spawn.
-    let threads = if block.nnz().saturating_mul(cols) < PAR_WORK_MIN {
-        1
-    } else {
-        threads
-    };
-    pool::par_row_chunks(threads, out, cols, |first_row, chunk| {
-        for (i, orow) in chunk.chunks_mut(cols).enumerate() {
-            for &c in block.row(first_row + i) {
-                let src = &dense[c as usize * cols..(c as usize + 1) * cols];
-                for (o, x) in orow.iter_mut().zip(src) {
-                    *o += *x;
-                }
+    for (r, orow) in out.chunks_mut(cols).enumerate() {
+        for &c in block.row(r) {
+            let src = &dense[c as usize * cols..(c as usize + 1) * cols];
+            for (o, x) in orow.iter_mut().zip(src) {
+                *o += *x;
             }
         }
-    });
+    }
 }
-
-/// Work threshold (entries × feature width) below which the kernel stays
-/// sequential.
-const PAR_WORK_MIN: usize = 1 << 15;
 
 #[cfg(test)]
 mod tests {
@@ -216,21 +193,8 @@ mod tests {
             let cols = 5;
             let want = reference(&block, &dense, cols);
             let mut got = vec![0.0f32; block.rows() * cols];
-            spmm_csr_dense_into(&block, &dense, cols, &mut got, 1);
+            spmm_csr_dense_into(&block, &dense, cols, &mut got);
             assert_eq!(got, want, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn bitwise_identical_at_every_thread_count() {
-        let (block, dense) = arbitrary_block(70, 40, 3);
-        let cols = 5;
-        let mut base = vec![0.0f32; block.rows() * cols];
-        spmm_csr_dense_into(&block, &dense, cols, &mut base, 1);
-        for &threads in &[2usize, 3, 4, 8] {
-            let mut got = vec![0.0f32; block.rows() * cols];
-            spmm_csr_dense_into(&block, &dense, cols, &mut got, threads);
-            assert_eq!(got, base, "threads {threads}");
         }
     }
 
@@ -239,7 +203,7 @@ mod tests {
         let block = CsrBlock::from_rows(2, &[vec![0, 1], vec![1]]);
         let dense = vec![1.0, 2.0, 10.0, 20.0];
         let mut out = vec![100.0, 200.0, 300.0, 400.0];
-        spmm_csr_dense_into(&block, &dense, 2, &mut out, 1);
+        spmm_csr_dense_into(&block, &dense, 2, &mut out);
         assert_eq!(out, vec![111.0, 222.0, 310.0, 420.0]);
     }
 
@@ -248,7 +212,7 @@ mod tests {
         let block = CsrBlock::empty(3, 4);
         let dense = vec![1.0f32; 8];
         let mut out = vec![7.0f32; 6];
-        spmm_csr_dense_into(&block, &dense, 2, &mut out, 4);
+        spmm_csr_dense_into(&block, &dense, 2, &mut out);
         assert_eq!(out, vec![7.0f32; 6]);
         assert_eq!(block.nnz(), 0);
     }
