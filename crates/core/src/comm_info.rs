@@ -46,9 +46,12 @@ pub struct BuildOptions {
     pub spst: SpstConfig,
     /// Hot-vertex remote feature cache policy. The admission ranking is
     /// always computed (it is partition-derived and cheap); this only
-    /// sets the default capacity policy training runs under —
-    /// [`CachePolicy::Off`] keeps every path uncached, and
-    /// `TrainConfig::feature_cache` can override per run.
+    /// sets the default capacity policy of sampled training's block path
+    /// (finite fanouts), the one trainer path that consults the cache —
+    /// [`CachePolicy::Off`] keeps it uncached, and
+    /// `TrainConfig::feature_cache` can override per run. Full-batch and
+    /// exact runs exchange layer 0 once per run and never cache; serving
+    /// sizes its own layer-0 cache with `ServingConfig::cache_rows`.
     pub feature_cache: CachePolicy,
 }
 

@@ -36,14 +36,30 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use dgcl_tensor::Matrix;
-use parking_lot::{Condvar, Mutex};
 
 use crate::collectives::AllreducePolicy;
 use crate::error::{ClusterFailure, RuntimeError};
 use crate::fault::FaultPlan;
+
+/// Locks `m`, recovering the guard if a panicking thread poisoned the
+/// mutex. Every critical section here leaves its state consistent, and
+/// rank failures travel through the fabric's own poison record, so a
+/// panic must not cascade into every later lock.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Blocks on `cv` for at most `timeout`, releasing and reacquiring
+/// `guard`'s mutex; tolerates a poisoned mutex like [`lock`].
+fn wait_for<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, timeout: Duration) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, timeout)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
+}
 
 /// Identifies one batched message: `(operation, stage, substage, chunk)`.
 /// Barriered paths always use chunk `0`; the pipelined executor keys each
@@ -222,7 +238,7 @@ impl Fabric {
         if capacity == 0 {
             return Vec::new();
         }
-        let mut pool = self.buffers.lock();
+        let mut pool = lock(&self.buffers);
         let fit = pool
             .bufs
             .iter()
@@ -262,7 +278,7 @@ impl Fabric {
         if bytes == 0 {
             return;
         }
-        let mut pool = self.buffers.lock();
+        let mut pool = lock(&self.buffers);
         if pool.bufs.len() >= self.config.max_pooled_buffers
             || pool.total_bytes + bytes > self.config.max_pooled_bytes
         {
@@ -274,7 +290,7 @@ impl Fabric {
 
     /// Current recycle-pool occupancy: `(buffer count, total bytes)`.
     pub fn pool_stats(&self) -> (usize, usize) {
-        let pool = self.buffers.lock();
+        let pool = lock(&self.buffers);
         (pool.bufs.len(), pool.total_bytes)
     }
 
@@ -288,7 +304,7 @@ impl Fabric {
     /// instead of hanging. Later poisons keep the first record.
     pub fn poison(&self, rank: usize, cause: ClusterFailure) {
         {
-            let mut p = self.poison.lock();
+            let mut p = lock(&self.poison);
             if p.is_none() {
                 *p = Some(PoisonInfo { rank, cause });
             }
@@ -307,8 +323,7 @@ impl Fabric {
 
     /// The first failure as `(rank, cause)`, if any.
     pub fn poison_info(&self) -> Option<(usize, ClusterFailure)> {
-        self.poison
-            .lock()
+        lock(&self.poison)
             .as_ref()
             .map(|p| (p.rank, p.cause.clone()))
     }
@@ -425,7 +440,7 @@ impl Fabric {
         }
         let duplicate = faults.duplicates(src, dst, key.1);
         if faults.reorders(src, dst, key.1) {
-            let mut held = self.held.lock();
+            let mut held = lock(&self.held);
             let q = held.entry((src, dst)).or_default();
             if q.is_empty() {
                 // Hold the message; the link's next send (or the
@@ -451,7 +466,7 @@ impl Fabric {
     /// message of the link has been posted (reordering the pair) and by
     /// blocked receivers (so a hold can never become a hang).
     fn release_held(&self, src: usize, dst: usize) -> Result<(), RuntimeError> {
-        let drained = match self.held.lock().get_mut(&(src, dst)) {
+        let drained = match lock(&self.held).get_mut(&(src, dst)) {
             Some(q) => std::mem::take(q),
             None => return Ok(()),
         };
@@ -474,7 +489,7 @@ impl Fabric {
         tolerate_duplicate: bool,
     ) -> Result<(), RuntimeError> {
         let mb = &self.mailboxes[src * self.num_devices + dst];
-        let mut slots = mb.slots.lock();
+        let mut slots = lock(&mb.slots);
         if let Some(prev) = slots.insert(key, payload) {
             if !tolerate_duplicate {
                 return Err(RuntimeError::Protocol {
@@ -496,7 +511,7 @@ impl Fabric {
     pub fn recv(&self, src: usize, dst: usize, key: MsgKey) -> Result<Vec<f32>, RuntimeError> {
         let mb = &self.mailboxes[src * self.num_devices + dst];
         {
-            let mut slots = mb.slots.lock();
+            let mut slots = lock(&mb.slots);
             if let Some(payload) = slots.remove(&key) {
                 return Ok(payload);
             }
@@ -508,14 +523,14 @@ impl Fabric {
             if !self.config.faults.is_empty() {
                 self.release_held(src, dst)?;
             }
-            let mut slots = mb.slots.lock();
+            let mut slots = lock(&mb.slots);
             if let Some(payload) = slots.remove(&key) {
                 return Ok(payload);
             }
             self.wait_tick(start, dst, "recv", || {
                 format!("message {key:?} from {src} never arrived")
             })?;
-            mb.signal.wait_for(&mut slots, self.config.poll_interval);
+            drop(wait_for(&mb.signal, slots, self.config.poll_interval));
         }
     }
 
@@ -540,7 +555,7 @@ impl Fabric {
             self.release_held(src, dst)?;
         }
         let mb = &self.mailboxes[src * self.num_devices + dst];
-        if let Some(payload) = mb.slots.lock().remove(&key) {
+        if let Some(payload) = lock(&mb.slots).remove(&key) {
             return Ok(Some(payload));
         }
         self.check_poison()?;
@@ -559,11 +574,10 @@ impl Fabric {
     pub fn allreduce(&self, rank: usize, mats: Vec<Matrix>) -> Result<Vec<Matrix>, RuntimeError> {
         let start = Instant::now();
         let rendezvous = || "rendezvous never completed".to_string();
-        let mut st = self.reduce.lock();
+        let mut st = lock(&self.reduce);
         while !matches!(st.phase, ReducePhase::Filling) {
             self.wait_tick(start, rank, "allreduce", rendezvous)?;
-            self.reduce_signal
-                .wait_for(&mut st, self.config.poll_interval);
+            st = wait_for(&self.reduce_signal, st, self.config.poll_interval);
         }
         st.slots[rank] = Some(mats);
         st.filled += 1;
@@ -604,8 +618,7 @@ impl Fabric {
         } else {
             while !matches!(st.phase, ReducePhase::Draining) {
                 self.wait_tick(start, rank, "allreduce", rendezvous)?;
-                self.reduce_signal
-                    .wait_for(&mut st, self.config.poll_interval);
+                st = wait_for(&self.reduce_signal, st, self.config.poll_interval);
             }
         }
         st.departed += 1;

@@ -2,8 +2,14 @@
 //! bitwise-neutral.
 //!
 //! Layer-0 feature rows never change during training, yet every sampled
-//! mini-batch and every full-batch epoch re-fetches the same hot remote
-//! rows over the wire. This module caches the hottest ones per rank:
+//! mini-batch on the block path (finite fanouts) fetches its own frontier
+//! of them, and the same hot remote rows cross the wire batch after
+//! batch. This module caches the hottest ones per rank. Full-batch and
+//! exact runs have nothing to cache: they exchange layer 0 once per run
+//! (see [`crate::trainer`]), so [`ClusterCache`] is built only for the
+//! block path. Serving keeps its own layer-0 cache and shares only the
+//! [`CacheStats`] counters.
+//!
 //!
 //! * **Admission is offline and deterministic.** Each rank ranks every
 //!   non-owned vertex by `(1 + halo refs) × degree` — the number of its
@@ -33,8 +39,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dgcl_gnn::aggregate::{aggregate_mean, aggregate_sum};
-use dgcl_gnn::AggKind;
 use dgcl_graph::{CsrGraph, VertexId};
 use dgcl_partition::PartitionedGraph;
 use dgcl_sim::CacheModel;
@@ -298,8 +302,8 @@ impl ClusterCache {
     }
 }
 
-/// One rank's precomputed full-batch layer-0 halo exchange under a
-/// cache: which local rows to send each peer (the peer's demand minus
+/// One rank's precomputed full-graph halo exchange under a cache:
+/// which local rows to send each peer (the peer's demand minus
 /// its cache), which full-matrix positions each peer's payload fills
 /// (this rank's demand minus its own cache), and which positions the
 /// resident cache fills directly. All three derive from the shared
@@ -365,10 +369,12 @@ impl HaloExchange {
     }
 }
 
-/// The cached replacement for the planned layer-0 allgather: assembles
-/// the full `num_total × cols` visible matrix from local rows, resident
-/// cache rows and one op-aligned pairwise exchange of the leftover
-/// misses. Every filled row is an `f32` copy of the owner's row — the
+/// A cache-aware stand-in for the planned allgather of raw features:
+/// assembles the full `num_total × cols` visible matrix from local rows,
+/// resident cache rows and one op-aligned pairwise exchange of the
+/// leftover misses. No trainer body calls it, since each exchanges layer
+/// 0 once per run; it stays public for callers that replay per-epoch
+/// layer-0 exchanges. Every filled row is an `f32` copy of the owner's row — the
 /// exact matrix [`graph_allgather`](DeviceHandle::graph_allgather)
 /// produces — so downstream aggregation is bitwise unchanged.
 ///
@@ -413,45 +419,6 @@ pub fn halo_gather(
         Ok(full)
     });
     dev.poison_on_err(res)
-}
-
-/// A rank's bundled layer-0 state for the full-batch planned path: the
-/// prebuilt exchange plus its cache. Bodies build one per run and route
-/// layer 0 through [`HaloGatherCtx::agg_forward`] instead of the
-/// backend's allgather.
-pub(crate) struct HaloGatherCtx<'a> {
-    halo: HaloExchange,
-    cache: &'a FeatureCache,
-}
-
-impl<'a> HaloGatherCtx<'a> {
-    /// Builds `rank`'s context, or `None` when no cache is active.
-    pub(crate) fn build(
-        info: &CommInfo,
-        rank: usize,
-        cache: Option<&'a ClusterCache>,
-    ) -> Option<Self> {
-        cache.map(|c| Self {
-            halo: HaloExchange::build(info, rank, c),
-            cache: &c.caches[rank],
-        })
-    }
-
-    /// The distributed layer-0 aggregate via the cached halo: bitwise
-    /// identical to `PlannedBackend::agg_forward` on raw features.
-    pub(crate) fn agg_forward(
-        &self,
-        dev: &DeviceHandle<'_>,
-        h_local: &Matrix,
-        kind: AggKind,
-    ) -> Result<Matrix, RuntimeError> {
-        let full = halo_gather(dev, h_local, &self.halo, self.cache)?;
-        let lg = dev.local_graph();
-        Ok(match kind {
-            AggKind::Sum => aggregate_sum(&lg.graph, &full, lg.num_local),
-            AggKind::Mean => aggregate_mean(&lg.graph, &full, lg.num_local),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ use dgcl_tensor::Matrix;
 use crate::backend::CommBackend;
 use crate::error::RuntimeError;
 use crate::fabric::{expect_payload, Fabric, MsgKey};
-use crate::featcache::{ClusterCache, HaloGatherCtx};
+use crate::featcache::ClusterCache;
 use crate::runtime::DeviceHandle;
 use crate::trainer::{full_forward, reduce_and_step, RunCtx};
 
@@ -576,8 +576,9 @@ pub(crate) fn device_body_blocks(
         losses.push(epoch_loss);
         run.publish(rank, &net, &losses);
     }
-    let halo = HaloGatherCtx::build(info, rank, run.halo_cache);
-    let out = full_forward(handle, &mut net, backend, agg_kind, features, halo.as_ref())?;
+    // The final full-graph forward needs layer 0's aggregate once.
+    let agg0 = backend.agg_forward(handle, features, agg_kind)?;
+    let out = full_forward(handle, &mut net, backend, agg_kind, features, &agg0)?;
     Ok((losses, out))
 }
 

@@ -7,6 +7,13 @@
 //! synchronised with an allreduce (the paper delegates this to
 //! Horovod/DDP as GNN models are small).
 //!
+//! Layer 0 is the one exception to "every layer". Its input is the raw
+//! feature matrix, which never changes during a run, so each rank
+//! computes layer 0's distributed aggregate once per run, before the
+//! first epoch, and every forward pass reuses it. Its backward exchange
+//! would only produce a gradient for those constant features, so no
+//! body runs it.
+//!
 //! Each rank runs one serial loop in which communication and compute
 //! strictly alternate. There are two loop bodies: the full-graph body
 //! here serves full-batch epochs (one unmasked batch) and exact sampled
@@ -34,7 +41,7 @@ use crate::collectives::{AlgorithmSelector, AllreduceAlgo, AllreducePolicy};
 use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, RuntimeError};
 use crate::fabric::FabricConfig;
-use crate::featcache::{CachePolicy, CacheStatsSnapshot, ClusterCache, HaloGatherCtx};
+use crate::featcache::{CachePolicy, CacheStatsSnapshot, ClusterCache};
 use crate::runtime::{run_cluster_with, DeviceHandle};
 use crate::sampling::SamplingConfig;
 
@@ -67,7 +74,9 @@ pub struct TrainConfig {
     /// Hot-vertex remote feature cache override. `None` (the default)
     /// runs the policy recorded at build time
     /// ([`crate::BuildOptions::feature_cache`]); `Some(policy)` forces
-    /// one for this run. Caching changes gather *volume* only — every
+    /// one for this run. Only the block path (finite fanouts) consults
+    /// the cache: full-batch and exact runs exchange layer 0 once per
+    /// run and ignore it. Caching changes gather *volume* only — every
     /// run is bitwise identical to [`CachePolicy::Off`].
     pub feature_cache: Option<CachePolicy>,
 }
@@ -98,8 +107,10 @@ pub struct TrainReport {
     pub epoch_losses: Vec<f32>,
     /// Final output embeddings in global vertex order.
     pub outputs: Matrix,
-    /// Cluster-total feature-cache counters, when a cache was active
-    /// (`None` for single-device runs and [`CachePolicy::Off`]).
+    /// Cluster-total feature-cache counters, when a cache was active:
+    /// block-path runs (finite fanouts) under a policy other than
+    /// [`CachePolicy::Off`]. `None` for single-device, full-batch and
+    /// exact runs, which never consult the cache.
     pub cache: Option<CacheStatsSnapshot>,
 }
 
@@ -192,7 +203,7 @@ pub fn train_distributed_with(
 /// where in the global epoch range this attempt runs, the losses of
 /// epochs completed before it (from the resumed checkpoint), where rank
 /// 0 publishes checkpoints, the initial replica, and the dispatched data
-/// and feature cache shared by every rank.
+/// and the block path's feature cache, shared by every rank.
 pub(crate) struct RunCtx<'a> {
     pub(crate) cfg: &'a TrainConfig,
     pub(crate) start_epoch: usize,
@@ -205,9 +216,6 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) targets: &'a [Matrix],
     /// The active cache, consulted by the block path's layer-0 gathers.
     pub(crate) cache: Option<&'a ClusterCache>,
-    /// The cache when the planned backend routes full-graph layer 0
-    /// through the cache-aware halo exchange; `None` otherwise.
-    pub(crate) halo_cache: Option<&'a ClusterCache>,
 }
 
 impl RunCtx<'_> {
@@ -300,10 +308,14 @@ pub fn train_distributed_resumable(
             info.num_devices()
         );
     }
-    // Resolve the feature-cache policy and materialise the per-rank
-    // caches once at the driver; every rank reads the same copies.
-    let cache_policy = cfg.feature_cache.unwrap_or(info.feature_cache.policy);
-    let cache = ClusterCache::build(info, features, cache_policy);
+    // The block path is the only one that consults the feature cache:
+    // resolve its policy and materialise the per-rank caches once at the
+    // driver; every rank reads the same copies.
+    let blocks_cfg = cfg.sampling.as_ref().filter(|scfg| !scfg.is_exact());
+    let cache = blocks_cfg.and_then(|_| {
+        let policy = cfg.feature_cache.unwrap_or(info.feature_cache.policy);
+        ClusterCache::build(info, features, policy)
+    });
     // The initial replica is built once at the driver: every rank clones
     // it, so a resumed attempt restores the checkpoint exactly once.
     let mut net0 = GnnNetwork::new(cfg.arch, &cfg.dims, cfg.weight_seed);
@@ -333,19 +345,14 @@ pub fn train_distributed_resumable(
         features: &per_device_features,
         targets: &per_device_targets,
         cache: cache.as_ref(),
-        // With a cache active on the planned backend, full-graph layer 0
-        // routes through the cache-aware halo exchange.
-        halo_cache: cache
-            .as_ref()
-            .filter(|_| backend_kind == BackendKind::Planned),
     };
     let results = run_cluster_with(info, fabric_config, |handle| {
         let backend = backend_for(backend_kind);
-        match &cfg.sampling {
-            Some(scfg) if !scfg.is_exact() => {
+        match blocks_cfg {
+            Some(scfg) => {
                 crate::sampling::device_body_blocks(&handle, &run, backend.as_ref(), scfg)
             }
-            exact => device_body_full(&handle, &run, backend.as_ref(), exact.as_ref()),
+            None => device_body_full(&handle, &run, backend.as_ref(), cfg.sampling.as_ref()),
         }
     })?;
     let mut losses = prior_losses;
@@ -374,24 +381,24 @@ fn fold_direct(mut grad_agg_back: Matrix, direct: Option<Matrix>) -> Matrix {
     grad_agg_back
 }
 
-/// One full-graph forward pass: per layer, the backend's aggregate
-/// exchange then the unchanged local layer. Layer 0 reads the immutable
-/// raw features: with a halo context (planned backend + feature cache),
-/// its exchange fills cached rows locally instead.
+/// One full-graph forward pass. Layer 0 reads the raw `features` and
+/// their run-constant aggregate `agg0`; every later layer runs the
+/// backend's aggregate exchange, then the unchanged local layer.
 pub(crate) fn full_forward(
     handle: &DeviceHandle<'_>,
     net: &mut GnnNetwork,
     backend: &dyn CommBackend,
     kind: AggKind,
     features: &Matrix,
-    halo: Option<&HaloGatherCtx<'_>>,
+    agg0: &Matrix,
 ) -> Result<Matrix, RuntimeError> {
-    let mut h = features.clone();
-    for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-        let agg = match (l, halo) {
-            (0, Some(hctx)) => hctx.agg_forward(handle, &h, kind)?,
-            _ => backend.agg_forward(handle, &h, kind)?,
-        };
+    let (first, rest) = net
+        .layers_mut()
+        .split_first_mut()
+        .expect("at least one layer");
+    let mut h = first.forward_agg(features, agg0.clone());
+    for layer in rest {
+        let agg = backend.agg_forward(handle, &h, kind)?;
         h = layer.forward_agg(&h, agg);
     }
     Ok(h)
@@ -442,11 +449,11 @@ fn device_body_full(
     let features = &run.features[rank];
     let targets = &run.targets[rank];
     let owned = &handle.comm_info().pg.local[rank];
-    let halo = HaloGatherCtx::build(handle.comm_info(), rank, run.halo_cache);
     let seeds = match exact {
         Some(scfg) => crate::sampling::exact_seeds(handle, scfg, run.graph)?,
         None => Vec::new(),
     };
+    let agg0 = backend.agg_forward(handle, features, agg_kind)?;
     let mut net = run.net0.clone();
     let mut losses = Vec::with_capacity(run.end_epoch - run.start_epoch);
     for epoch in run.start_epoch..run.end_epoch {
@@ -465,7 +472,7 @@ fn device_body_full(
         };
         let mut epoch_loss = 0.0f32;
         for batch in &batches {
-            let out = full_forward(handle, &mut net, backend, agg_kind, features, halo.as_ref())?;
+            let out = full_forward(handle, &mut net, backend, agg_kind, features, &agg0)?;
             let (local_loss, grad_out) = match batch {
                 None => mse_loss(&out, targets),
                 Some(batch) => {
@@ -483,10 +490,9 @@ fn device_body_full(
             let mut grad = grad_out;
             for (l, layer) in net.layers_mut().iter_mut().enumerate().rev() {
                 let (grad_agg, direct) = layer.backward_agg(&grad);
-                if l == 0 && halo.is_some() {
+                if l == 0 {
                     // Layer 0's aggregate gradient flows only into the raw
-                    // features, which don't learn; every rank skips the
-                    // dead exchange together, keeping op counters aligned.
+                    // features, which don't learn.
                     break;
                 }
                 let back = backend.agg_backward(handle, &grad_agg, agg_kind)?;
@@ -497,7 +503,7 @@ fn device_body_full(
         losses.push(epoch_loss);
         run.publish(rank, &net, &losses);
     }
-    let out = full_forward(handle, &mut net, backend, agg_kind, features, halo.as_ref())?;
+    let out = full_forward(handle, &mut net, backend, agg_kind, features, &agg0)?;
     Ok((losses, out))
 }
 

@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 
 use dgcl::trainer::{train_distributed, train_distributed_with, TrainConfig};
 use dgcl::{
-    build_comm_info, run_cluster_with, AllreduceAlgo, BroadcastAlgo, BuildOptions, ClusterFailure,
-    CommInfo, FabricConfig, FaultEvent, FaultPlan, RuntimeError,
+    build_comm_info, run_cluster_with, AllreduceAlgo, BroadcastAlgo, BuildOptions, CachePolicy,
+    ClusterFailure, CommInfo, FabricConfig, FaultEvent, FaultPlan, RuntimeError,
 };
 use dgcl_gnn::Architecture;
 use dgcl_graph::{CsrGraph, Dataset};
@@ -137,6 +137,64 @@ fn crash_fault_fails_every_survivor_within_deadline() {
                 }
                 other => panic!("rank {rank}: expected poison, got {other}"),
             }
+        }
+    });
+}
+
+/// Layer 0 reads the raw features, which never change during a run, so
+/// its exchange runs once per run and never per epoch. A planned
+/// full-batch run of `E` epochs over `L` layers therefore spends exactly
+/// `1 + E·(2L−1) + (L−1)` collectives per rank: layer 0's allgather,
+/// then per epoch `L−1` allgathers, `L−1` backward scatters and one
+/// gradient allreduce, then the final forward's `L−1` allgathers. A
+/// crash at the last of them must fail the run; a crash one past it must
+/// never fire. The count cannot depend on the feature cache, which
+/// full-batch runs do not consult.
+#[test]
+fn planned_full_batch_runs_a_fixed_collective_count() {
+    with_watchdog(Duration::from_secs(300), || {
+        let c = training_case();
+        let (epochs, layers) = (3usize, 2usize);
+        let mut cfg = TrainConfig::new(Architecture::Gcn, &[6, 4, 3], epochs);
+        let ops = (epochs * (2 * layers - 1) + layers) as u64;
+        for policy in [CachePolicy::Off, CachePolicy::Auto] {
+            cfg.feature_cache = Some(policy);
+            let fabric = |at_op| FabricConfig {
+                collective_deadline: Duration::from_secs(20),
+                faults: FaultPlan::crash(1, at_op),
+                ..FabricConfig::default()
+            };
+            let err = train_distributed_with(
+                &c.info,
+                &c.graph,
+                &c.features,
+                &c.targets,
+                &cfg,
+                fabric(ops),
+            )
+            .expect_err("a crash at the last collective must fail the run");
+            assert!(
+                matches!(
+                    err.cause,
+                    ClusterFailure::Error(RuntimeError::InjectedCrash { rank: 1, at_op })
+                        if at_op == ops
+                ),
+                "{policy:?}: {err}"
+            );
+            let report = train_distributed_with(
+                &c.info,
+                &c.graph,
+                &c.features,
+                &c.targets,
+                &cfg,
+                fabric(ops + 1),
+            )
+            .unwrap_or_else(|e| panic!("{policy:?}: run spent more than {ops} collectives: {e}"));
+            assert_eq!(report.epoch_losses.len(), epochs);
+            assert!(
+                report.cache.is_none(),
+                "{policy:?}: full batch never caches"
+            );
         }
     });
 }

@@ -154,12 +154,15 @@ fn crash_mid_op_loses_at_most_the_inflight_epoch() {
             targets,
             cfg,
         } = training_case(4);
-        // Kill rank 1 deep into the second epoch's collectives.
+        // Kill rank 1 deep into the second epoch's collectives. Op 1 is
+        // layer 0's once-per-run allgather; each epoch then runs layer
+        // 1's allgather and scatter and the allreduce, so op 6 is the
+        // second epoch's layer-1 scatter, its last chunked op.
         let rcfg = RecoveryConfig {
             fabrics: faulty_first_attempt(FaultPlan {
                 events: vec![FaultEvent::CrashMidOp {
                     rank: 1,
-                    at_op: 9,
+                    at_op: 6,
                     after_actions: 3,
                 }],
             }),
